@@ -313,6 +313,7 @@ std::optional<QueryState> QueryScheduler::stateOf(NodeId n) const {
 
 query::PredicatePtr QueryScheduler::predicateOf(NodeId n) const {
   MutexLock lock(mu_);
+  if (!graph_.contains(n)) return nullptr;
   return graph_.predicate(n).clone();
 }
 

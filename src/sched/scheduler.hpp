@@ -125,7 +125,8 @@ class QueryScheduler {
   [[nodiscard]] std::optional<QueryState> stateOf(NodeId n) const;
 
   /// Clone of a node's predicate, taken under the scheduler lock (safe
-  /// against concurrent graph mutation).
+  /// against concurrent graph mutation); nullptr if the node is no longer
+  /// in the graph (failed() or retired() since the caller saw it).
   [[nodiscard]] query::PredicatePtr predicateOf(NodeId n) const;
 
   /// Current policy rank of a waiting node (test/diagnostic hook).

@@ -618,6 +618,8 @@ void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
   trace::Tracer::QueryScope queryScope(tracer_, node);
 
   const query::PredicatePtr predPtr = scheduler_.predicateOf(node);
+  // A dequeued node stays in the graph until this query settles it.
+  MQS_CHECK_MSG(predPtr != nullptr, "running query has no graph node");
   const query::Predicate& pred = *predPtr;
 
   // Application code (executors, user-defined operators, the storage

@@ -476,6 +476,8 @@ std::optional<datastore::BlobId> SimServer::insertWithCost(
 
 Task<void> SimServer::queryTask(sched::NodeId node, metrics::QueryRecord rec) {
   const query::PredicatePtr predPtr = scheduler_.predicateOf(node);
+  // A dequeued node stays in the graph until this query settles it.
+  MQS_CHECK_MSG(predPtr != nullptr, "running query has no graph node");
   const query::Predicate& pred = *predPtr;
 
   // The PLAN span covers the modeled planning overhead plus the real

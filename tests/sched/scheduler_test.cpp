@@ -243,6 +243,35 @@ TEST_F(SchedulerTest, ExecutingSourceOnlyIfOlder) {
   EXPECT_EQ(again->node, first);
 }
 
+TEST_F(SchedulerTest, PredicateOfRemovedNodeIsNullNotAnError) {
+  // The planner snapshots executingSources() and then clones each source's
+  // predicate in a separate call; the source can fail (and leave the graph)
+  // in between. predicateOf() must report that as nullptr, not throw —
+  // otherwise the dependent inherits its source's failure.
+  auto s = make("FIFO");
+  const NodeId src = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 4));
+  const NodeId dep = s.submit(pred(Rect::ofSize(512, 0, 1024, 1024), 4));
+  ASSERT_EQ(s.dequeue(), src);
+  ASSERT_EQ(s.dequeue(), dep);
+  const auto sources = s.executingSources(dep);
+  ASSERT_EQ(sources.size(), 1u);
+  ASSERT_EQ(sources.front().node, src);
+  ASSERT_NE(s.predicateOf(src), nullptr);
+
+  s.failed(src);
+  ASSERT_FALSE(s.stateOf(src).has_value());
+  query::PredicatePtr gone;
+  EXPECT_NO_THROW(gone = s.predicateOf(sources.front().node));
+  EXPECT_EQ(gone, nullptr);
+  EXPECT_TRUE(s.executingSources(dep).empty());
+
+  // A retired node leaves the graph the same way.
+  s.completed(dep);
+  s.retired(dep);
+  EXPECT_NO_THROW(gone = s.predicateOf(dep));
+  EXPECT_EQ(gone, nullptr);
+}
+
 TEST_F(SchedulerTest, SwappedOutNodesStopBeingReuseSources) {
   auto s = make("FIFO");
   const NodeId src = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 4));

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <functional>
 #include <future>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "storage/delayed_source.hpp"
@@ -244,15 +249,27 @@ TEST_F(QueryServerTest, RecordsCaptureTiming) {
   EXPECT_EQ(r.record.inputBytes, sem_.qinputsize(q));
 }
 
-/// Failure injection: an executor that throws for marked regions.
+/// Failure injection: an executor that throws for exactly the poisoned
+/// query regions. Matching the whole region (not just an origin) matters:
+/// a dependent that falls back recomputes its covered part from raw data,
+/// and that part may share an edge with the poisoned region without being
+/// it — failing it would make the dependent inherit the owner's failure.
 class FailingExecutor final : public query::QueryExecutor {
  public:
-  explicit FailingExecutor(const vm::VMExecutor* inner) : inner_(inner) {}
+  /// `beforeFailure`, if set, runs before each injected throw (a test uses
+  /// it to hold the poisoned query until a dependent has joined its scan).
+  FailingExecutor(const vm::VMExecutor* inner, std::vector<Rect> poisoned,
+                  std::function<void()> beforeFailure = {})
+      : inner_(inner),
+        poisoned_(std::move(poisoned)),
+        beforeFailure_(std::move(beforeFailure)) {}
 
   [[nodiscard]] std::vector<std::byte> execute(
       const query::Predicate& pred,
       pagespace::PageSpaceManager& ps) const override {
-    if (vm::asVM(pred).region().x0 == kPoisonX) {
+    if (std::ranges::find(poisoned_, vm::asVM(pred).region()) !=
+        poisoned_.end()) {
+      if (beforeFailure_) beforeFailure_();
       throw std::runtime_error("injected executor failure");
     }
     return inner_->execute(pred, ps);
@@ -264,19 +281,33 @@ class FailingExecutor final : public query::QueryExecutor {
     inner_->project(cached, payload, out, buffer);
   }
 
-  static constexpr std::int64_t kPoisonX = 736;  // marker origin
-
  private:
   const vm::VMExecutor* inner_;
+  std::vector<Rect> poisoned_;
+  std::function<void()> beforeFailure_;
 };
 
+/// Poll `done` every millisecond for up to two seconds; true once it holds.
+/// Bounded so a broken interleaving fails the test's assertions instead of
+/// hanging it.
+template <typename Pred>
+bool awaitBounded(Pred done) {
+  for (int i = 0; i < 2000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+constexpr std::int64_t kPoisonX = 736;
+
 TEST_F(QueryServerTest, ExecutorFailureDeliveredViaFuture) {
-  FailingExecutor failing(&exec_);
+  const Rect poisoned = Rect::ofSize(kPoisonX, 0, 128, 128);
+  FailingExecutor failing(&exec_, {poisoned});
   server::QueryServer server(&sem_, &failing, config(2));
   server.attach(dsid_, &slide_);
 
-  auto bad = server.submit(
-      pred(Rect::ofSize(FailingExecutor::kPoisonX, 0, 128, 128), 2), 0);
+  auto bad = server.submit(pred(poisoned, 2), 0);
   EXPECT_THROW((void)bad.get(), std::runtime_error);
 
   // The server keeps working and the graph is consistent.
@@ -288,26 +319,43 @@ TEST_F(QueryServerTest, ExecutorFailureDeliveredViaFuture) {
 }
 
 TEST_F(QueryServerTest, FailureDoesNotPoisonDependents) {
-  FailingExecutor failing(&exec_);
-  auto cfg = config(2);
-  server::QueryServer server(&sem_, &failing, cfg);
+  // `dependent` overlaps `poison` by [736,864)x[0,256). The test forces the
+  // interleaving in which the dependent joins the poisoned query's shared
+  // scan and the owner then fails:
+  //   1. `poison` starts and registers its scan; its executor call holds
+  //      until a subscriber has joined (foldHits >= 1);
+  //   2. `dependent`, submitted only once that scan is active, plans a
+  //      FoldIntoScan step for the overlap and blocks on the scan;
+  //   3. `poison` throws, the scan fails, and the dependent recomputes its
+  //      covered part [736,864)x[0,256) from raw data (DESIGN.md §14).
+  // That part is not the poisoned region, so the dependent must succeed
+  // with byte-exact output and no reused bytes.
+  const Rect poisonRegion = Rect::ofSize(kPoisonX, 0, 256, 256);
+  server::QueryServer* running = nullptr;  // set before the first submit
+  FailingExecutor failing(&exec_, {poisonRegion}, [&running] {
+    (void)awaitBounded([&running] {
+      return running->pageSpace().scanRegistry().stats().foldHits >= 1;
+    });
+  });
+  server::QueryServer server(&sem_, &failing, config(2));
   server.attach(dsid_, &slide_);
+  running = &server;
 
-  // Both queries overlap; the second may elect to wait on the first, which
-  // fails. The second must recover by computing from raw data.
-  const VMPredicate poison(dsid_,
-                           Rect::ofSize(FailingExecutor::kPoisonX, 0, 256, 256),
-                           2, VMOp::Subsample);
+  const VMPredicate poison(dsid_, poisonRegion, 2, VMOp::Subsample);
   const VMPredicate dependent(
-      dsid_, Rect::ofSize(FailingExecutor::kPoisonX - 128, 0, 256, 256), 2,
-      VMOp::Subsample);
+      dsid_, Rect::ofSize(kPoisonX - 128, 0, 256, 256), 2, VMOp::Subsample);
   auto f1 = server.submit(poison.clone(), 0);
+  ASSERT_TRUE(awaitBounded([&server] {
+    return server.pageSpace().scanRegistry().activeScans() > 0;
+  }));
   auto f2 = server.submit(dependent.clone(), 1);
   EXPECT_THROW((void)f1.get(), std::runtime_error);
-  // Remainder parts of `dependent` don't start at the poison origin, so it
-  // succeeds... unless it computed whole from raw at the poison-free
-  // origin. Either way it must produce correct bytes.
-  expectCorrect(dependent, f2.get());
+  const QueryResult result = f2.get();
+  expectCorrect(dependent, result);
+  // It took the wait-then-fall-back path: it waited on the executing
+  // owner, and nothing it delivered came from the failed scan.
+  EXPECT_TRUE(result.record.reusedExecuting) << result.record.planShape;
+  EXPECT_EQ(result.record.bytesReused, 0u) << result.record.planShape;
 }
 
 TEST_F(QueryServerTest, PyramidPrewarmServesAlignedQueriesFromCache) {
