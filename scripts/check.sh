@@ -72,9 +72,10 @@ FAULT_SUITES="faulty_source_test fault_retry_test failure_semantics_test \
 TRACE_SUITES="trace_invariants_test trace_export_test"
 # The overload suites (DESIGN.md §11) run under both sanitizers: admission
 # control races submit threads against workers, and the wire tests drive a
-# real TCP server under flood, quota, and deadline-shed pressure.
+# real TCP server under flood, quota, and deadline-shed pressure. net_test
+# covers the front-end's cross-thread completions and connection lifetime.
 OVERLOAD_SUITES="arrival_test latency_histogram_test workload_zipf_test \
-  admission_test overload_wire_test"
+  admission_test overload_wire_test net_test"
 # The lock-rank checker and the annotated queue run under both sanitizers:
 # their tests exercise the Mutex/CondVar wrappers every subsystem now uses.
 STATIC_SUITES="lock_order_test queue_pool_test"

@@ -35,9 +35,11 @@ done
 echo "== tracing-overhead guard =="
 build/bench/micro_server --overhead-guard
 
+# No --json-dir: this 4-query pass would overwrite the full fig4 table in
+# results/BENCH_fig4.json; it only emits the trace.
 echo "== lifecycle trace (fig4, first run) =="
 build/bench/fig4_response_vs_threads --threads 4 --queries 4 \
-  --json-dir results --trace-out results/fig4.trace.json
+  --trace-out results/fig4.trace.json
 
 echo "== examples (smoke) =="
 build/examples/quickstart

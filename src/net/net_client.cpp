@@ -176,7 +176,8 @@ NetClient::Response NetClient::receive() {
 std::vector<std::byte> NetClient::execute(const query::Predicate& pred) {
   const std::uint64_t id = send(pred);
   Response resp = receive();
-  MQS_CHECK_MSG(resp.requestId == id, "response out of order");
+  MQS_CHECK_MSG(resp.requestId == id,
+                "execute() with a pipelined request outstanding");
   return std::move(resp.bytes);
 }
 

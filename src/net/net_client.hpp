@@ -1,7 +1,9 @@
 // Blocking TCP client for the query server: the role the paper's emulated
 // clients play from their PC cluster. Supports both interactive use
 // (execute = send + receive) and pipelined batches (send everything, then
-// drain responses in order).
+// drain the responses). The server answers a pipelined batch in the order
+// its queries finish, not the order they were sent, so callers match each
+// response to its request by `requestId`.
 //
 // Timeouts: a server that accepts the connection and then stalls (wedged
 // worker pool, dead peer behind a live socket) must not hang the client
@@ -54,7 +56,8 @@ class NetClient {
     std::uint64_t requestId = 0;
     std::vector<std::byte> bytes;
   };
-  /// Block for the next response. Throws server::QueryFailure for Failed
+  /// Block for the next response — whichever request settled first on the
+  /// server, identified by `requestId`. Throws server::QueryFailure for Failed
   /// frames, server::QueryRejected for Rejected frames (overload),
   /// std::runtime_error carrying the server's message for Error frames or
   /// on disconnect, TimeoutError past ioTimeoutSec.
@@ -77,7 +80,9 @@ class NetClient {
   /// (timeout, disconnect) — those have no request to attribute to.
   Outcome receiveAny();
 
-  /// Interactive convenience: send + receive.
+  /// Interactive convenience: send + receive. Requires that no pipelined
+  /// request is outstanding on this connection: the next response must be
+  /// this request's (checked).
   std::vector<std::byte> execute(const query::Predicate& pred);
 
   void close();

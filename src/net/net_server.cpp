@@ -5,7 +5,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <utility>
 
 #include "common/blocking_queue.hpp"
@@ -14,24 +17,78 @@
 
 namespace mqs::net {
 
-struct NetServer::Connection {
+struct NetServer::Connection
+    : std::enable_shared_from_this<NetServer::Connection> {
   int fd = -1;
   /// Accept ordinal; every query submitted on this connection carries it
   /// so per-client fairness quotas apply at the wire level.
   int client = -1;
-  /// (requestId, future) pairs flowing from the reader to the writer, in
-  /// submission order.
-  BlockingQueue<std::pair<std::uint64_t, std::future<server::QueryResult>>>
-      pending;
+  /// (requestId, outcome) pairs in the order their queries settled: pushed
+  /// by whichever thread settles a query, popped by the writer.
+  BlockingQueue<std::pair<std::uint64_t, server::QueryOutcome>> settled;
+  /// Requests read but not yet answered, plus one while the reader is
+  /// still reading. Whoever takes it to zero closes `settled`, so the
+  /// writer exits once the reader is done and every request is answered.
+  std::atomic<std::uint64_t> outstanding{1};
+  /// Reader and writer threads still running; at zero the connection can
+  /// be reaped (its threads joined, its fd closed).
+  std::atomic<int> running{2};
   std::jthread reader;
   std::jthread writer;
 
+  void release() {
+    if (outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      settled.close();
+    }
+  }
+
+  /// Both threads are joined before the last reference outside the query
+  /// server drops, so this never joins; it may run on a query worker when
+  /// a query settles after the connection was reaped or the server stopped.
   ~Connection() {
-    reader = {};
-    writer = {};
     if (fd >= 0) ::close(fd);
   }
 };
+
+namespace {
+
+/// The response frame for one settled request.
+std::vector<std::byte> responseFrame(std::uint64_t requestId,
+                                     const server::QueryOutcome& outcome) {
+  using Status = server::QueryOutcome::Status;
+  Writer w;
+  w.u64(requestId);
+  switch (outcome.status) {
+    case Status::Completed:
+      w.blob(outcome.result.bytes);
+      return packFrame(FrameType::Result, w.bytes());
+    case Status::Rejected:
+      // Turned away at admission (queue full / over quota): the overload
+      // frame, so clients can back off instead of treating this as a query
+      // bug.
+      w.u8(static_cast<std::uint8_t>(outcome.rejectReason));
+      w.str(outcome.message);
+      return packFrame(FrameType::Rejected, w.bytes());
+    case Status::Shed:
+      // Admitted but dropped at dispatch (deadline shed); same overload
+      // frame with the DeadlineShed discriminator.
+      w.u8(static_cast<std::uint8_t>(server::RejectReason::DeadlineShed));
+      w.str(outcome.message);
+      return packFrame(FrameType::Rejected, w.bytes());
+    case Status::Failed:
+      // The query reached the terminal FAILED status; tell the client which
+      // request died so it can distinguish this from a rejected (malformed)
+      // request.
+      w.str(outcome.message);
+      return packFrame(FrameType::Failed, w.bytes());
+    case Status::Error:
+      break;
+  }
+  w.str(outcome.message);
+  return packFrame(FrameType::Error, w.bytes());
+}
+
+}  // namespace
 
 NetServer::NetServer(server::QueryServer& queryServer,
                      const CodecRegistry* codecs, std::uint16_t port)
@@ -73,15 +130,46 @@ void NetServer::stop() {
     ::close(lfd);
   }
   acceptor_ = {};  // join
-  std::vector<std::unique_ptr<Connection>> conns;
+  std::vector<std::shared_ptr<Connection>> conns;
   {
     MutexLock lock(mu_);
     conns.swap(connections_);
   }
   for (auto& c : conns) {
     ::shutdown(c->fd, SHUT_RDWR);  // unblock the reader
+    // The writer sends what has settled and exits; answers to queries
+    // still running are dropped when they settle.
+    c->settled.close();
   }
-  conns.clear();  // joins reader/writer threads, closes fds
+  join(conns);
+}
+
+std::size_t NetServer::openConnections() {
+  reapFinished();
+  MutexLock lock(mu_);
+  return connections_.size();
+}
+
+void NetServer::reapFinished() {
+  std::vector<std::shared_ptr<Connection>> finished;
+  {
+    MutexLock lock(mu_);
+    const auto done = std::ranges::partition(connections_, [](const auto& c) {
+      return c->running.load(std::memory_order_acquire) > 0;
+    });
+    finished.assign(std::make_move_iterator(done.begin()),
+                    std::make_move_iterator(done.end()));
+    connections_.erase(done.begin(), done.end());
+  }
+  join(finished);
+}
+
+void NetServer::join(std::vector<std::shared_ptr<Connection>>& conns) {
+  for (auto& c : conns) {
+    c->reader.join();
+    c->writer.join();
+  }
+  conns.clear();  // closes the fds no pending query still holds
 }
 
 void NetServer::acceptLoop() {
@@ -92,6 +180,7 @@ void NetServer::acceptLoop() {
       if (errno == EINTR) continue;
       return;  // listener closed
     }
+    reapFinished();
     const auto clientId =
         static_cast<int>(accepted_.fetch_add(1, std::memory_order_relaxed));
     serveConnection(fd, clientId);
@@ -99,76 +188,59 @@ void NetServer::acceptLoop() {
 }
 
 void NetServer::serveConnection(int fd, int client) {
-  auto conn = std::make_unique<Connection>();
+  auto conn = std::make_shared<Connection>();
   Connection* c = conn.get();
   c->fd = fd;
   c->client = client;
 
+  // Each submitted query's completion holds the connection, so a query
+  // that settles after a write failure or stop() pushes into a live (if
+  // closed) queue. The threads hold a plain pointer: connections_ keeps
+  // the connection alive until both are joined, so its last reference
+  // never drops on one of its own threads.
   c->reader = std::jthread([this, c] {
     Frame frame;
     while (readFrame(c->fd, frame)) {
       if (frame.type != FrameType::Query) break;
+      c->outstanding.fetch_add(1, std::memory_order_relaxed);
       std::uint64_t id = 0;
+      query::PredicatePtr pred;
       try {
         Reader r(frame.payload);
         id = r.u64();
-        query::PredicatePtr pred = codecs_->decode(r);
-        c->pending.push({id, queryServer_.submit(std::move(pred), c->client)});
+        pred = codecs_->decode(r);
       } catch (const std::exception& e) {
         // Malformed predicate: report instead of dying.
-        std::promise<server::QueryResult> p;
-        p.set_exception(std::current_exception());
-        c->pending.push({id, p.get_future()});
+        c->settled.push({id, server::QueryOutcome::noResult(
+                                 server::QueryOutcome::Status::Error,
+                                 e.what())});
+        continue;
       }
+      queryServer_.submit(
+          std::move(pred), c->client,
+          [self = c->shared_from_this(), id](server::QueryOutcome outcome) {
+            self->settled.push({id, std::move(outcome)});
+          });
     }
-    c->pending.close();  // writer drains what was accepted, then exits
+    c->release();  // the reader's own share of `outstanding`
+    c->running.fetch_sub(1, std::memory_order_release);
   });
 
   c->writer = std::jthread([c] {
-    while (auto item = c->pending.pop()) {
-      Writer w;
-      w.u64(item->first);
-      // share() keeps the result state — and any exception stored in it —
-      // referenced for the whole iteration. future::get() releases the
-      // state *before* a catch handler runs, so the worker's promise
-      // teardown could destroy the exception object concurrently with the
-      // e.what() reads below; that is safe only through the runtime's
-      // exception refcount, which TSan cannot observe. Holding the state
-      // until after the handlers orders the teardown visibly.
-      std::shared_future<server::QueryResult> settled = item->second.share();
-      try {
-        const server::QueryResult& result = settled.get();
-        w.blob(result.bytes);
-        if (!writeAll(c->fd, packFrame(FrameType::Result, w.bytes()))) break;
-      } catch (const server::QueryRejected& e) {
-        // Turned away at admission (queue full / over quota): the overload
-        // frame, so clients can back off instead of treating this as a
-        // query bug.
-        w.u8(static_cast<std::uint8_t>(e.reason()));
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Rejected, w.bytes()))) {
-          break;
-        }
-      } catch (const server::QueryShed& e) {
-        // Admitted but dropped at dispatch (deadline shed); same overload
-        // frame with the DeadlineShed discriminator.
-        w.u8(static_cast<std::uint8_t>(server::RejectReason::DeadlineShed));
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Rejected, w.bytes()))) {
-          break;
-        }
-      } catch (const server::QueryFailure& e) {
-        // The query reached the terminal FAILED status; tell the client
-        // which request died so it can distinguish this from a rejected
-        // (malformed) request.
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Failed, w.bytes()))) break;
-      } catch (const std::exception& e) {
-        w.str(e.what());
-        if (!writeAll(c->fd, packFrame(FrameType::Error, w.bytes()))) break;
+    // Frames go out in the order their queries settle, so a query the
+    // scheduler finished early never waits behind an older one.
+    while (auto item = c->settled.pop()) {
+      if (!writeAll(c->fd, responseFrame(item->first, item->second))) {
+        // The peer is gone: stop reading its requests and drop the
+        // answers still to come.
+        ::shutdown(c->fd, SHUT_RDWR);
+        c->settled.close();
+        break;
       }
+      c->release();
     }
     ::shutdown(c->fd, SHUT_WR);
+    c->running.fetch_sub(1, std::memory_order_release);
   });
 
   MutexLock lock(mu_);

@@ -1,11 +1,17 @@
 // TCP front-end for the query server.
 //
 // One listener thread accepts connections; each connection gets a reader
-// thread (decode Query frames, submit to the QueryServer) and a writer
-// thread (resolve the submitted futures in request order, emit
-// Result/Error frames). Pipelining therefore works: a client may pour a
-// whole batch down the socket and read results back as they complete —
-// the paper's batch scenario over a real transport.
+// thread (decode Query frames, submit to the QueryServer with a completion
+// that queues the outcome on the connection) and a writer thread (emit one
+// Result/Failed/Rejected/Error frame per outcome, in the order the queries
+// settle). Pipelining therefore works: a client may pour a whole batch down
+// the socket and read results back as they complete, matched by request
+// id — the paper's batch scenario over a real transport, where a query
+// the scheduler runs early is also answered early.
+//
+// The accept loop reaps connections whose reader and writer have both
+// finished, so a long-running server holds threads and fds only for live
+// connections.
 //
 // Each accepted connection is assigned a distinct client id (its accept
 // ordinal) and every query it submits carries that id, so the server's
@@ -47,11 +53,19 @@ class NetServer {
     return accepted_.load();
   }
 
+  /// Reaps the connections whose reader and writer have finished, then
+  /// returns how many remain (each holds an fd and two threads).
+  std::size_t openConnections() EXCLUDES(mu_);
+
  private:
   struct Connection;
 
-  void acceptLoop();
-  void serveConnection(int fd, int client);
+  void acceptLoop() EXCLUDES(mu_);
+  void serveConnection(int fd, int client) EXCLUDES(mu_);
+  /// Takes finished connections out of connections_ and joins them.
+  void reapFinished() EXCLUDES(mu_);
+  /// Joins each connection's threads, then drops the references.
+  static void join(std::vector<std::shared_ptr<Connection>>& conns);
 
   server::QueryServer& queryServer_;
   const CodecRegistry* codecs_;  ///< immutable after construction
@@ -64,7 +78,7 @@ class NetServer {
   /// Outermost rank: the front-end may never be entered while a deeper
   /// subsystem lock is held (connection bookkeeping itself nests nothing).
   Mutex mu_{lockorder::Rank::kNetServer, "NetServer::mu_"};
-  std::vector<std::unique_ptr<Connection>> connections_ GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<Connection>> connections_ GUARDED_BY(mu_);
   std::jthread acceptor_;
 };
 

@@ -117,88 +117,143 @@ void QueryServer::attach(storage::DatasetId dataset,
   ps_.attach(dataset, source);
 }
 
-std::future<QueryResult> QueryServer::submit(query::PredicatePtr pred,
-                                             int client) {
-  MQS_CHECK(pred != nullptr);
+QueryOutcome QueryOutcome::noResult(Status status, std::string message,
+                                    RejectReason reason) {
+  QueryOutcome outcome;
+  outcome.status = status;
+  outcome.rejectReason = reason;
+  outcome.message = std::move(message);
+  return outcome;
+}
+
+std::exception_ptr QueryOutcome::error() const {
+  switch (status) {
+    case Status::Completed:
+      return nullptr;
+    case Status::Failed:
+      return std::make_exception_ptr(QueryFailure(message));
+    case Status::Shed:
+      return std::make_exception_ptr(QueryShed(message));
+    case Status::Rejected:
+      return std::make_exception_ptr(QueryRejected(rejectReason, message));
+    case Status::Error:
+      break;
+  }
+  return std::make_exception_ptr(std::runtime_error(message));
+}
+
+void QueryServer::settle(Completion done, QueryOutcome outcome) {
+  done(std::move(outcome));
+}
+
+void QueryServer::submit(query::PredicatePtr pred, int client,
+                         Completion done) {
+  MQS_CHECK(pred != nullptr && done != nullptr);
   PendingQuery pq;
+  pq.done = std::move(done);
   pq.record.client = client;
   pq.record.predicate = pred->describe();
   pq.record.arrivalTime = nowSeconds();
   pq.record.inputBytes = sem_->qinputsize(*pred);
   pq.record.outputBytes = sem_->qoutsize(*pred);
-  auto future = pq.promise.get_future();
 
+  std::optional<QueryOutcome> refusal;
   {
     MutexLock lock(mu_);
-    if (stopping_) {
-      pq.promise.set_exception(std::make_exception_ptr(
-          std::runtime_error("query server is shutting down")));
-      return future;
-    }
-    admission_.onOffered();
-    // Bounded admission queue (DESIGN.md §11): a saturated server turns
-    // work away at the door instead of letting queue wait grow without
-    // bound. Rejection costs the client one round trip and the server
-    // nothing downstream of this lock.
-    if (cfg_.admissionQueueLimit > 0 &&
-        queuedCount_ >= cfg_.admissionQueueLimit) {
-      admission_.onRejected(RejectReason::QueueFull);
+    refusal = refuseLocked(pq.record);
+    if (!refusal) {
+      const sched::NodeId node = scheduler_.submit(std::move(pred));
+      pq.record.queryId = node;
+      if (client >= 0) {
+        ClientQuota& q = clientQuota_[client];
+        ++q.queued;
+        q.queuedBytes += pq.record.outputBytes;
+      }
+      ++queuedCount_;
+      admission_.onAdmitted(queuedCount_);
       if (tracer_ != nullptr) {
-        tracer_->counter(trace::CounterKind::AdmissionRejected);
+        tracer_->counter(trace::CounterKind::AdmissionAdmitted);
+        tracer_->counter(trace::CounterKind::AdmissionQueueDepth,
+                         queuedCount_);
       }
-      pq.promise.set_exception(std::make_exception_ptr(QueryRejected(
-          RejectReason::QueueFull,
-          "admission queue full (" + std::to_string(queuedCount_) + " of " +
-              std::to_string(cfg_.admissionQueueLimit) + " slots queued)")));
-      return future;
+      latches_.emplace(node, std::make_shared<DoneLatch>());
+      pending_.emplace(node, std::move(pq));
     }
-    // Per-client fairness quota: one greedy client cannot occupy the whole
-    // admission queue and starve the rest. A client with nothing queued is
-    // always allowed one query, even past the byte quota — otherwise a
-    // single large query could never run at all.
-    if (client >= 0 &&
-        (cfg_.maxQueuedPerClient > 0 || cfg_.maxQueuedBytesPerClient > 0)) {
-      if (const auto it = clientQuota_.find(client);
-          it != clientQuota_.end() && it->second.queued > 0) {
-        const ClientQuota& q = it->second;
-        const bool overQueries = cfg_.maxQueuedPerClient > 0 &&
-                                 q.queued >= cfg_.maxQueuedPerClient;
-        const bool overBytes = cfg_.maxQueuedBytesPerClient > 0 &&
-                               q.queuedBytes + pq.record.outputBytes >
-                                   cfg_.maxQueuedBytesPerClient;
-        if (overQueries || overBytes) {
-          admission_.onRejected(RejectReason::ClientQuota);
-          if (tracer_ != nullptr) {
-            tracer_->counter(trace::CounterKind::AdmissionRejected);
-            tracer_->counter(trace::CounterKind::AdmissionQuotaHit);
-          }
-          pq.promise.set_exception(std::make_exception_ptr(QueryRejected(
-              RejectReason::ClientQuota,
-              std::string("client quota exceeded (") +
-                  (overQueries ? "queued queries" : "queued bytes") +
-                  " for client " + std::to_string(client) + ")")));
-          return future;
-        }
-      }
-    }
-    const sched::NodeId node = scheduler_.submit(std::move(pred));
-    pq.record.queryId = node;
-    if (client >= 0) {
-      ClientQuota& q = clientQuota_[client];
-      ++q.queued;
-      q.queuedBytes += pq.record.outputBytes;
-    }
-    ++queuedCount_;
-    admission_.onAdmitted(queuedCount_);
-    if (tracer_ != nullptr) {
-      tracer_->counter(trace::CounterKind::AdmissionAdmitted);
-      tracer_->counter(trace::CounterKind::AdmissionQueueDepth, queuedCount_);
-    }
-    latches_.emplace(node, std::make_shared<DoneLatch>());
-    pending_.emplace(node, std::move(pq));
+  }
+  if (refusal) {
+    settle(std::move(pq.done), std::move(*refusal));
+    return;
   }
   workAvailable_.notifyOne();
+}
+
+std::future<QueryResult> QueryServer::submit(query::PredicatePtr pred,
+                                             int client) {
+  // std::function needs a copyable target, so the promise is shared.
+  auto promise = std::make_shared<std::promise<QueryResult>>();
+  std::future<QueryResult> future = promise->get_future();
+  submit(std::move(pred), client, [promise](QueryOutcome outcome) {
+    if (outcome.status == QueryOutcome::Status::Completed) {
+      promise->set_value(std::move(outcome.result));
+    } else {
+      promise->set_exception(outcome.error());
+    }
+  });
   return future;
+}
+
+std::optional<QueryOutcome> QueryServer::refuseLocked(
+    const metrics::QueryRecord& rec) {
+  using Status = QueryOutcome::Status;
+  if (stopping_) {
+    return QueryOutcome::noResult(Status::Error,
+                                  "query server is shutting down");
+  }
+  admission_.onOffered();
+  // Bounded admission queue (DESIGN.md §11): a saturated server turns
+  // work away at the door instead of letting queue wait grow without
+  // bound. Rejection costs the client one round trip and the server
+  // nothing downstream of this lock.
+  if (cfg_.admissionQueueLimit > 0 &&
+      queuedCount_ >= cfg_.admissionQueueLimit) {
+    admission_.onRejected(RejectReason::QueueFull);
+    if (tracer_ != nullptr) {
+      tracer_->counter(trace::CounterKind::AdmissionRejected);
+    }
+    return QueryOutcome::noResult(
+        Status::Rejected,
+        "admission queue full (" + std::to_string(queuedCount_) + " of " +
+            std::to_string(cfg_.admissionQueueLimit) + " slots queued)",
+        RejectReason::QueueFull);
+  }
+  // Per-client fairness quota: one greedy client cannot occupy the whole
+  // admission queue and starve the rest. A client with nothing queued is
+  // always allowed one query, even past the byte quota — otherwise a
+  // single large query could never run at all.
+  if (rec.client < 0 ||
+      (cfg_.maxQueuedPerClient <= 0 && cfg_.maxQueuedBytesPerClient == 0)) {
+    return std::nullopt;
+  }
+  const auto it = clientQuota_.find(rec.client);
+  if (it == clientQuota_.end() || it->second.queued == 0) return std::nullopt;
+  const ClientQuota& q = it->second;
+  const bool overQueries =
+      cfg_.maxQueuedPerClient > 0 && q.queued >= cfg_.maxQueuedPerClient;
+  const bool overBytes =
+      cfg_.maxQueuedBytesPerClient > 0 &&
+      q.queuedBytes + rec.outputBytes > cfg_.maxQueuedBytesPerClient;
+  if (!overQueries && !overBytes) return std::nullopt;
+  admission_.onRejected(RejectReason::ClientQuota);
+  if (tracer_ != nullptr) {
+    tracer_->counter(trace::CounterKind::AdmissionRejected);
+    tracer_->counter(trace::CounterKind::AdmissionQuotaHit);
+  }
+  return QueryOutcome::noResult(
+      Status::Rejected,
+      std::string("client quota exceeded (") +
+          (overQueries ? "queued queries" : "queued bytes") + " for client " +
+          std::to_string(rec.client) + ")",
+      RejectReason::ClientQuota);
 }
 
 void QueryServer::releaseClientQuota(const metrics::QueryRecord& rec) {
@@ -624,9 +679,9 @@ void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
 
   // Application code (executors, user-defined operators, the storage
   // layer on a permanent device fault) may throw; the failure is scoped
-  // to this query: it is delivered through the client future as a
-  // QueryFailure and the graph node is retired so dependents and the
-  // scheduler stay consistent. The worker thread survives.
+  // to this query: it settles as a Failed outcome and the graph node is
+  // retired so dependents and the scheduler stay consistent. The worker
+  // thread survives.
   std::vector<std::byte> out;
   std::string failureReason;
   bool failed = false;
@@ -727,15 +782,15 @@ void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
     noteServiceRate(rec.execTime() / static_cast<double>(rec.outputBytes));
   }
   collector_.add(rec);
-  if (shed) {
-    pq.promise.set_exception(
-        std::make_exception_ptr(QueryShed(failureReason)));
-  } else if (failed) {
-    pq.promise.set_exception(
-        std::make_exception_ptr(QueryFailure(failureReason)));
+  QueryOutcome outcome;
+  if (shed || failed) {
+    outcome = QueryOutcome::noResult(shed ? QueryOutcome::Status::Shed
+                                          : QueryOutcome::Status::Failed,
+                                     std::move(failureReason));
   } else {
-    pq.promise.set_value(QueryResult{std::move(out), rec});
+    outcome.result = QueryResult{std::move(out), std::move(rec)};
   }
+  settle(std::move(pq.done), std::move(outcome));
 }
 
 void QueryServer::onBlobEvicted(datastore::EvictedBlob blob) {

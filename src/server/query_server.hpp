@@ -5,9 +5,9 @@
 // Data Store and the scheduling graph's EXECUTING set, (2) executes the
 // plan — projecting cached blobs, blocking on still-executing sources,
 // computing remainder sub-queries from raw data through the Page Space
-// Manager, (3) caches its own result, (4) delivers bytes to the client
-// future. Source selection lives entirely in the planner; this file only
-// executes plan steps.
+// Manager, (3) caches its own result, (4) settles the query: hands its
+// outcome to the submitter's Completion. Source selection lives entirely
+// in the planner; this file only executes plan steps.
 //
 // Deadlock avoidance: a query may block on the completion latches of
 // EXECUTING queries only if they started earlier (enforced by
@@ -18,6 +18,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -168,6 +170,36 @@ struct QueryResult {
   metrics::QueryRecord record;
 };
 
+/// The terminal fate of one submitted query, as a value: the result, or
+/// why there is none. Every status but Completed maps to the exception the
+/// future-returning submit() delivers (see error()).
+struct QueryOutcome {
+  enum class Status : std::uint8_t {
+    Completed,  ///< `result` holds the bytes and the record
+    Failed,     ///< terminal FAILED (QueryFailure)
+    Shed,       ///< dropped at dispatch past its deadline (QueryShed)
+    Rejected,   ///< refused at admission (QueryRejected, `rejectReason`)
+    Error,      ///< never accepted: the server is shutting down
+  };
+  Status status = Status::Completed;
+  RejectReason rejectReason = RejectReason::QueueFull;  ///< Rejected only
+  std::string message;  ///< every status but Completed
+  QueryResult result;   ///< Completed only
+
+  /// An outcome without a result (any status but Completed).
+  static QueryOutcome noResult(Status status, std::string message,
+                               RejectReason reason = RejectReason::QueueFull);
+
+  /// The exception this outcome stands for; null for Completed.
+  [[nodiscard]] std::exception_ptr error() const;
+};
+
+/// Receives one query's outcome. The server runs it exactly once per
+/// submitted query, on the thread that settles the query — a worker, or
+/// the submitting thread when admission refuses the query inline — and
+/// with no server lock held, so it may submit again. It must not throw.
+using Completion = std::function<void(QueryOutcome)>;
+
 class QueryServer {
  public:
   QueryServer(const query::QuerySemantics* semantics,
@@ -180,7 +212,14 @@ class QueryServer {
   /// Attach raw storage for a dataset (before submitting queries on it).
   void attach(storage::DatasetId dataset, const storage::DataSource* source);
 
-  /// Enqueue a query; the future resolves when the result is computed.
+  /// Enqueue a query; `done` receives its outcome (see Completion). A
+  /// query refused at admission, or submitted during shutdown, is settled
+  /// before this returns.
+  void submit(query::PredicatePtr pred, int client, Completion done)
+      EXCLUDES(mu_);
+
+  /// Enqueue a query; the future resolves when the query settles and
+  /// throws the exception QueryOutcome::error() names when it failed.
   std::future<QueryResult> submit(query::PredicatePtr pred, int client = -1)
       EXCLUDES(mu_);
 
@@ -214,7 +253,7 @@ class QueryServer {
 
  private:
   struct PendingQuery {
-    std::promise<QueryResult> promise;
+    Completion done;
     metrics::QueryRecord record;
   };
   struct DoneLatch {
@@ -224,10 +263,19 @@ class QueryServer {
   };
 
   void workerLoop() EXCLUDES(mu_);
-  void runQuery(sched::NodeId node, PendingQuery pending);
+  void runQuery(sched::NodeId node, PendingQuery pending) EXCLUDES(mu_);
+  /// The admission decision for a new query: its refusal (shutting down,
+  /// queue full, over quota) with the matching counters bumped, or nullopt
+  /// when it may be admitted.
+  std::optional<QueryOutcome> refuseLocked(const metrics::QueryRecord& rec)
+      REQUIRES(mu_);
+  /// The one point where a query's fate reaches its submitter: every
+  /// outcome, from an admission refusal to a worker's result, goes through
+  /// here. Consumes `done`, so it runs once; callers hold no server lock.
+  static void settle(Completion done, QueryOutcome outcome);
   /// Plan + execute the top-level query (records the plan's accounting in
   /// `rec`); throws whatever application code throws (runQuery converts
-  /// that into a failed client future).
+  /// that into a Failed outcome).
   std::vector<std::byte> computeQuery(sched::NodeId node,
                                       const query::Predicate& pred,
                                       metrics::QueryRecord& rec);

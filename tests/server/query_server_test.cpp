@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/lock_order.hpp"
 #include "storage/delayed_source.hpp"
 #include "storage/synthetic_source.hpp"
 #include "vm/image.hpp"
@@ -400,6 +404,132 @@ TEST_F(QueryServerTest, StressManySmallQueriesWithEvictions) {
     expectCorrect(queries[i], futures[i].get());
   }
   EXPECT_GT(server->dataStore().stats().evictions, 0u);
+}
+
+TEST_F(QueryServerTest, CompletionRunsOnceForEveryFateWithNoLockHeld) {
+  using Status = QueryOutcome::Status;
+  constexpr std::size_t kTags = 10;
+  std::array<std::atomic<int>, kTags> calls{};
+  std::array<Status, kTags> status{};
+  std::array<RejectReason, kTags> reason{};
+  std::atomic<std::size_t> maxHeld{0};
+  std::mutex seenMu;
+  std::vector<std::jthread> probes;  // guarded by seenMu
+  std::atomic<int> probesSettled{0};
+  std::atomic<int> probesBlocked{0};
+  // Each completion records its outcome and how many ranked locks its
+  // thread holds (the debug lock-rank checker counts them; 0 expected),
+  // then runs `then`, which may submit again.
+  const auto completion = [&](std::size_t tag,
+                              std::function<void()> then = {}) {
+    return [&, tag, then](QueryOutcome outcome) {
+      const std::size_t held = lockorder::heldCount();
+      std::size_t prev = maxHeld.load();
+      while (held > prev && !maxHeld.compare_exchange_weak(prev, held)) {
+      }
+      {
+        std::lock_guard lock(seenMu);
+        status[tag] = outcome.status;
+        reason[tag] = outcome.rejectReason;
+      }
+      if (then) then();
+      ++calls[tag];
+    };
+  };
+  const auto ok = [this](std::int64_t x) {
+    return pred(Rect::ofSize(x, 512, 64, 64), 1);
+  };
+  // Submits again from inside a completion. First another thread submits,
+  // with a bounded wait: it cannot get through while the settling thread
+  // holds a server lock, in any build type. Only then does this thread
+  // re-enter submit, where a held lock would deadlock (or trip the debug
+  // lock-rank checker).
+  const auto resubmit = [&](QueryServer& server, std::size_t tag,
+                            std::int64_t x) {
+    auto returned = std::make_shared<std::promise<void>>();
+    std::future<void> probeReturned = returned->get_future();
+    {
+      std::lock_guard lock(seenMu);
+      probes.emplace_back([&ok, &probesSettled, srv = &server, returned, x] {
+        srv->submit(ok(x), -1,
+                    [&probesSettled](QueryOutcome) { ++probesSettled; });
+        returned->set_value();
+      });
+    }
+    if (probeReturned.wait_for(std::chrono::seconds(2)) !=
+        std::future_status::ready) {
+      ++probesBlocked;
+      return;
+    }
+    server.submit(ok(x), -1, completion(tag));
+  };
+
+  // One worker, held inside a failing query until released, so the queue
+  // and quota states below are exact.
+  const Rect poisoned = Rect::ofSize(kPoisonX, 0, 128, 128);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  FailingExecutor failing(&exec_, {poisoned}, [&] {
+    entered = true;
+    (void)awaitBounded([&] { return release.load(); });
+  });
+  auto cfg = config(1);
+  cfg.admissionQueueLimit = 2;
+  cfg.maxQueuedPerClient = 1;
+  QueryServer server(&sem_, &failing, cfg);
+  server.attach(dsid_, &slide_);
+
+  // Failed; settles on the worker while q1 and q3 fill the queue, so its
+  // resubmission is refused (QueueFull) from the worker thread.
+  server.submit(pred(poisoned, 2), 0,
+                completion(0, [&] { resubmit(server, 9, 448); }));
+  ASSERT_TRUE(awaitBounded([&] { return entered.load(); }));
+  server.submit(ok(0), 1, completion(1));   // queued, 1 of 2
+  server.submit(ok(64), 1, completion(2));  // client 1 over quota
+  // Completes on the worker into an empty queue: its resubmission is
+  // admitted and runs.
+  server.submit(ok(128), 2,
+                completion(3, [&] { resubmit(server, 7, 192); }));
+  // Queue full; the inline completion's resubmission is refused again,
+  // inline, on this thread.
+  server.submit(ok(256), 3,
+                completion(4, [&] { resubmit(server, 6, 320); }));
+  EXPECT_EQ(calls[2].load(), 1);  // inline refusals settle before return
+  EXPECT_EQ(calls[4].load(), 1);
+  EXPECT_EQ(calls[6].load(), 1);
+  release = true;
+  ASSERT_TRUE(awaitBounded([&] { return calls[7].load() == 1; }));
+  {
+    std::lock_guard lock(seenMu);
+    probes.clear();  // join
+  }
+  server.shutdown();
+  server.submit(ok(384), 0, completion(8));  // after shutdown
+
+  auto shedCfg = config(1);
+  shedCfg.queryDeadlineSec = 1e-9;  // every dispatch is past its deadline
+  shedCfg.shedDeadlineMisses = true;
+  {
+    QueryServer shedding(&sem_, &exec_, shedCfg);
+    shedding.attach(dsid_, &slide_);
+    shedding.submit(ok(0), 0, completion(5));
+  }  // the destructor drains the queue
+
+  const std::array<Status, kTags> want = {
+      Status::Failed,   Status::Completed, Status::Rejected, Status::Completed,
+      Status::Rejected, Status::Shed,      Status::Rejected, Status::Completed,
+      Status::Error,    Status::Rejected};
+  for (std::size_t tag = 0; tag < kTags; ++tag) {
+    EXPECT_EQ(calls[tag].load(), 1) << "tag " << tag;
+    EXPECT_EQ(status[tag], want[tag]) << "tag " << tag;
+  }
+  EXPECT_EQ(reason[2], RejectReason::ClientQuota);
+  EXPECT_EQ(reason[4], RejectReason::QueueFull);
+  EXPECT_EQ(reason[6], RejectReason::QueueFull);
+  EXPECT_EQ(reason[9], RejectReason::QueueFull);
+  EXPECT_EQ(maxHeld.load(), 0u);
+  EXPECT_EQ(probesBlocked.load(), 0) << "a completion ran under a server lock";
+  EXPECT_EQ(probesSettled.load(), 3);
 }
 
 }  // namespace
