@@ -57,11 +57,12 @@ build/tools/analyzer/mqs-analyze \
 
 # Label matrix: each suite group must be runnable on its own, so a CI
 # job (or a bug hunt) can target just the static, fault, soak, fuzz,
-# planner, or trace tests. --no-tests=error: `ctest -L <label>` exits 0
+# planner, or trace tests. `golden` reruns the simulator figure benches
+# against the committed results/fig*.csv. --no-tests=error: `ctest -L <label>` exits 0
 # when the label matches nothing, so a renamed/unregistered label would
 # silently pass without it (scripts/lint_rules.py R6 guards the registry
 # side of the same failure).
-for label in static fault soak fuzz planner trace shard overload cache fold; do
+for label in static fault soak fuzz planner trace shard overload cache fold golden; do
   echo "== label: $label =="
   ctest --test-dir build --output-on-failure -j "$(nproc)" -L "$label" \
     --no-tests=error
@@ -94,19 +95,24 @@ CACHE_SUITES="spill_tier_test lru_differential_test \
 # equivalence test races folding servers against the reference renderer,
 # and the fault test injects device failures into shared scans.
 FOLD_SUITES="scan_registry_test fold_equivalence_test fold_fault_test"
+# Both engines run every plan step through one coroutine interpreter
+# (query::PlanRunner); the threaded server runs its frames to completion
+# on worker threads, so both sanitizers watch the engines' own suites.
+ENGINE_SUITES="query_server_test plan_equivalence_test sim_server_test"
 
 if [ "$run_asan" = 1 ]; then
-  echo "== ASan+UBSan build (fault + trace + static + shard + overload + cache + fold suites) =="
+  echo "== ASan+UBSan build (fault + trace + static + shard + overload + cache + fold + engine suites) =="
   cmake -B build-asan -S . -DMQS_SANITIZE=address,undefined
   # shellcheck disable=SC2086
   cmake --build build-asan -j --target $FAULT_SUITES $TRACE_SUITES \
-    $STATIC_SUITES $SHARD_SUITES $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES
+    $STATIC_SUITES $SHARD_SUITES $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES \
+    $ENGINE_SUITES
 
   echo "== ASan+UBSan tests =="
   export ASAN_OPTIONS="detect_leaks=1 halt_on_error=1"
   export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1"
   for t in $FAULT_SUITES $TRACE_SUITES $STATIC_SUITES $SHARD_SUITES \
-           $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES; do
+           $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES $ENGINE_SUITES; do
     echo "--- $t ---"
     "build-asan/tests/$t"
   done
@@ -115,20 +121,20 @@ else
 fi
 
 if [ "$run_tsan" = 1 ]; then
-  echo "== TSan build (pagespace + vm + fault + trace + static + shard + overload + cache + fold suites) =="
+  echo "== TSan build (pagespace + vm + fault + trace + static + shard + overload + cache + fold + engine suites) =="
   cmake -B build-tsan -S . -DMQS_SANITIZE=thread
   # shellcheck disable=SC2086
   cmake --build build-tsan -j --target \
     page_cache_core_test page_space_manager_test prefetch_pipeline_test \
     vm_executor_test $FAULT_SUITES $TRACE_SUITES $STATIC_SUITES \
-    $SHARD_SUITES $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES
+    $SHARD_SUITES $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES $ENGINE_SUITES
 
   echo "== TSan tests =="
   export TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1"
   for t in page_cache_core_test page_space_manager_test \
            prefetch_pipeline_test vm_executor_test \
            $FAULT_SUITES $TRACE_SUITES $STATIC_SUITES $SHARD_SUITES \
-           $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES; do
+           $OVERLOAD_SUITES $CACHE_SUITES $FOLD_SUITES $ENGINE_SUITES; do
     echo "--- $t ---"
     "build-tsan/tests/$t"
   done

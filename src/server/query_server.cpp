@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
+#include "query/plan_runner.hpp"
 
 namespace mqs::server {
 
@@ -96,8 +97,11 @@ QueryServer::QueryServer(const query::QuerySemantics* semantics,
                                                     cfg_.spillDir);
     if (tracer_ != nullptr) spill_->setTracer(tracer_);
   }
-  ds_.setEvictionListener(
-      [this](datastore::EvictedBlob blob) { onBlobEvicted(std::move(blob)); });
+  // Demoting under mu_ is rank-legal (mu_ -> kSpillTier, 20 -> 44).
+  ds_.setEvictionListener([this](datastore::EvictedBlob blob) {
+    MutexLock lock(mu_);
+    catalog_.evicted(std::move(blob), spill_.get());
+  });
   workers_.reserve(static_cast<std::size_t>(cfg_.threads));
   for (int i = 0; i < cfg_.threads; ++i) {
     workers_.emplace_back([this] { workerLoop(); });
@@ -383,246 +387,40 @@ void QueryServer::noteServiceRate(double secPerByte) {
       cur, next, std::memory_order_relaxed));
 }
 
-std::shared_future<void> QueryServer::doneFutureOf(sched::NodeId node) {
-  MutexLock lock(mu_);
-  auto it = latches_.find(node);
-  MQS_CHECK_MSG(it != latches_.end(), "no completion latch for node");
-  return it->second->future;
+// --- plan-step hooks (query::PlanRunner) -----------------------------------
+
+std::suspend_never QueryServer::awaitExecuting(sched::NodeId node) {
+  std::shared_future<void> done;
+  {
+    MutexLock lock(mu_);
+    auto it = latches_.find(node);
+    MQS_CHECK_MSG(it != latches_.end(), "no completion latch for node");
+    done = it->second->future;
+  }
+  done.wait();
+  return {};
 }
 
-std::vector<std::byte> QueryServer::executePlan(query::ReusePlan plan,
-                                                const query::Predicate& pred,
-                                                int depth,
-                                                metrics::QueryRecord& rec) {
-  const auto d8 = static_cast<std::uint8_t>(depth);
-  // Raw fast path: a plan without projection steps is a single
-  // ComputeRemainder step covering `pred` — run the executor directly
-  // (registered as a shared scan at depth 0, DESIGN.md §14).
-  if (!plan.hasReuse()) {
-    trace::SpanScope compute(tracer_, rec.queryId, trace::SpanKind::Compute,
-                             d8);
-    pagespace::ScanRegistry::ScanGuard scan =
-        beginScanIfFolding(pred, rec, depth);
-    std::vector<std::byte> raw = exec_->execute(pred, ps_);
-    publishScan(scan, raw);
-    return raw;
-  }
-
-  std::vector<std::byte> out(sem_->qoutsize(pred));
-  std::size_t pinIdx = 0;  // plan.pins parallels the ProjectFromCached steps
-  for (query::PlanStep& step : plan.steps) {
-    switch (step.kind) {
-      case query::PlanStep::Kind::ProjectFromCached: {
-        trace::SpanScope project(tracer_, rec.queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered,
-                                 trace::kFlagCachedSource);
-        // The planner pinned the blob (pinSources), so it is still
-        // resident; release the pin as soon as the projection is done.
-        exec_->project(*step.sourcePred, ds_.payload(step.blob), pred, out);
-        MQS_DCHECK(pinIdx < plan.pins.size());
-        plan.pins[pinIdx++].release();
-        rec.bytesReused += step.bytesCovered;
-        break;
-      }
-      case query::PlanStep::Kind::WaitAndProjectFromExecuting: {
-        // The PROJECT span covers the whole step — including the fallback
-        // compute below — so a query's depth-0 PROJECT count always equals
-        // its recorded reuseSources, even when a source vanished.
-        trace::SpanScope project(tracer_, rec.queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered,
-                                 trace::kFlagExecutingSource);
-        // Block on the older executing query's completion latch; the
-        // thread-pool slot stays occupied while we wait (§4).
-        rec.reusedExecuting = true;
-        const double t0 = nowSeconds();
-        {
-          trace::SpanScope wait(tracer_, rec.queryId,
-                                trace::SpanKind::WaitSource, d8);
-          doneFutureOf(step.node).wait();
-        }
-        rec.blockedTime += nowSeconds() - t0;
-        checkDeadline(rec);
-
-        datastore::BlobId blob = 0;
-        bool haveBlob = false;
-        {
-          MutexLock lock(mu_);
-          if (auto it = nodeBlob_.find(step.node); it != nodeBlob_.end()) {
-            blob = it->second;
-            haveBlob = true;
-          }
-        }
-        if (haveBlob && ds_.tryPin(blob)) {
-          datastore::DataStore::PinGuard pin(ds_, blob);
-          exec_->project(*step.sourcePred, ds_.payload(blob), pred, out);
-          pin.release();
-          ds_.noteReuse(blob, step.overlap);
-          rec.bytesReused += step.bytesCovered;
-        } else {
-          // The source failed, produced an uncacheable result, or was
-          // evicted before we could read it: compute this step's share of
-          // the output from raw data instead (its coveredParts tile it).
-          for (const query::PredicatePtr& cp : step.coveredParts) {
-            const std::vector<std::byte> sub =
-                computePart(*cp, depth + 1, rec);
-            exec_->project(*cp, sub, pred, out);
-          }
-        }
-        break;
-      }
-      case query::PlanStep::Kind::RestoreFromSpill: {
-        // The PROJECT span covers restore + projection (and the fallback
-        // compute if the entry vanished); the disk read inside restore()
-        // is the tier's own cost, not a Page Space IO_STALL, so a query's
-        // IO_STALL span total still equals its recorded ioStallTime.
-        trace::SpanScope project(tracer_, rec.queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered, trace::kFlagSpillSource);
-        std::optional<datastore::EvictedBlob> restoredBlob =
-            spill_ != nullptr ? spill_->restore(step.spillId) : std::nullopt;
-        if (restoredBlob) {
-          exec_->project(*step.sourcePred, restoredBlob->payload, pred, out);
-          rec.bytesReused += step.bytesCovered;
-          // Re-insert with the blob's *original* traced cost: the restore
-          // must not consume (or be billed to) this query's ledger.
-          const std::uint64_t lb = restoredBlob->logicalBytes;
-          const double rc = restoredBlob->recomputeCostSec;
-          const std::optional<datastore::BlobId> nb =
-              ds_.insert(std::move(restoredBlob->predicate),
-                         std::move(restoredBlob->payload), lb, rc);
-          MutexLock lock(mu_);
-          const auto nIt = spillNode_.find(step.spillId);
-          if (nIt != spillNode_.end()) {
-            const sched::NodeId rn = nIt->second;
-            spillNode_.erase(nIt);
-            nodeSpill_.erase(rn);
-            if (nb) {
-              nodeBlob_[rn] = *nb;
-              blobNode_[*nb] = rn;
-              scheduler_.restored(rn);
-            } else {
-              // Insert refused (duplicate or over budget): the spill entry
-              // is spent, so the node's result is gone for good.
-              scheduler_.retired(rn);
-            }
-          }
-          // With no mapped node this was a sub-query blob: no scheduler
-          // transition, it serves reuse straight from the store again.
-        } else {
-          // Dropped (or restored by a racing query) between planning and
-          // execution: compute this step's share from raw data instead.
-          for (const query::PredicatePtr& cp : step.coveredParts) {
-            const std::vector<std::byte> sub =
-                computePart(*cp, depth + 1, rec);
-            exec_->project(*cp, sub, pred, out);
-          }
-        }
-        break;
-      }
-      case query::PlanStep::Kind::FoldIntoScan: {
-        // The PROJECT span covers the whole step — including the fallback
-        // below — so depth-0 PROJECT count always equals reuseSources even
-        // when the scan resolved before we could join.
-        trace::SpanScope project(tracer_, rec.queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered, trace::kFlagFoldSource);
-        pagespace::ScanRegistry::ScanPtr scan =
-            ps_.scanRegistry().subscribe(step.scanId);
-        bool projected = false;
-        if (scan != nullptr) {
-          // The fold is real: annotate the graph (rank feedback sees the
-          // shared scan once, on the owner) and block on the scan latch —
-          // the owner is strictly older (candidatesFor enforced it), so
-          // this wait keeps the wait graph acyclic.
-          scheduler_.noteFold(rec.queryId, step.node);
-          if (tracer_ != nullptr) {
-            tracer_->counter(trace::CounterKind::FoldHit);
-          }
-          rec.reusedExecuting = true;
-          const double t0 = nowSeconds();
-          {
-            trace::SpanScope wait(tracer_, rec.queryId,
-                                  trace::SpanKind::WaitSource, d8);
-            scan->done.wait();
-          }
-          rec.blockedTime += nowSeconds() - t0;
-          checkDeadline(rec);
-          if (scan->state == pagespace::ScanRegistry::ScanState::Published &&
-              scan->payload != nullptr) {
-            exec_->project(*step.sourcePred, *scan->payload, pred, out);
-            rec.bytesReused += step.bytesCovered;
-            if (tracer_ != nullptr) {
-              tracer_->counter(trace::CounterKind::ScanBytesShared,
-                               static_cast<double>(scan->payload->size()));
-            }
-            projected = true;
-          }
-        }
-        if (!projected) {
-          // The scan settled before we joined, or its owner failed: replan
-          // this step's share independently from raw data (the §14 failure
-          // contract — a subscriber never hangs and never inherits the
-          // owner's failure when its own region is computable).
-          for (const query::PredicatePtr& cp : step.coveredParts) {
-            const std::vector<std::byte> sub =
-                computePart(*cp, depth + 1, rec);
-            exec_->project(*cp, sub, pred, out);
-          }
-        }
-        break;
-      }
-      case query::PlanStep::Kind::ComputeRemainder: {
-        trace::SpanScope compute(tracer_, rec.queryId,
-                                 trace::SpanKind::Compute, d8,
-                                 step.bytesCovered);
-        pagespace::ScanRegistry::ScanGuard scan =
-            beginScanIfFolding(*step.pred, rec, depth);
-        const std::vector<std::byte> sub =
-            computePart(*step.pred, depth + 1, rec);
-        publishScan(scan, sub);
-        exec_->project(*step.pred, sub, pred, out);
-        break;
-      }
-    }
-  }
-  return out;
+std::optional<query::ProjectionSource> QueryServer::holdBlob(
+    datastore::BlobId blob) {
+  if (!ds_.tryPin(blob)) return std::nullopt;
+  query::ProjectionSource src;
+  src.pin = datastore::DataStore::PinGuard(ds_, blob);
+  src.bytes = ds_.payload(blob);
+  return src;
 }
 
-std::vector<std::byte> QueryServer::computePart(const query::Predicate& part,
-                                                int depth,
-                                                metrics::QueryRecord& rec) {
-  // Remainder parts never wait on executing queries (no graph node, and
-  // blocking inside a nested computation would stack latch waits).
-  query::ReusePlan plan = [&] {
-    trace::SpanScope planSpan(tracer_, rec.queryId, trace::SpanKind::Plan,
-                              static_cast<std::uint8_t>(depth));
-    return planner_.plan(part, ds_, nullptr, sched::kInvalidNode, depth);
-  }();
-  std::vector<std::byte> out = executePlan(std::move(plan), part, depth, rec);
-  if (cfg_.dataStoreEnabled && cfg_.cacheSubqueryResults) {
-    (void)ds_.insert(part.clone(), std::vector<std::byte>(out),
-                     sem_->qoutsize(part));
-  }
-  return out;
-}
-
-pagespace::ScanRegistry::ScanGuard QueryServer::beginScanIfFolding(
-    const query::Predicate& pred, const metrics::QueryRecord& rec,
-    int depth) {
-  if (!cfg_.foldScans || !cfg_.allowWaitOnExecuting || depth != 0) return {};
-  return ps_.scanRegistry().beginScan(pred, rec.queryId,
-                                      scheduler_.execSeq(rec.queryId));
-}
-
-void QueryServer::publishScan(pagespace::ScanRegistry::ScanGuard& scan,
-                              std::span<const std::byte> bytes) {
-  if (!scan.active()) return;
-  const int subscribers = scan.publish(bytes);
-  if (subscribers > 0 && tracer_ != nullptr) {
-    tracer_->counter(trace::CounterKind::FoldSubscribers, subscribers);
-  }
+query::PlanContext QueryServer::planContext() {
+  return query::PlanContext{
+      .planner = &planner_,
+      .ds = &ds_,
+      .spill = spill_.get(),
+      .scheduler = &scheduler_,
+      .scans = &ps_.scanRegistry(),
+      .tracer = tracer_,
+      .foldScans = cfg_.foldScans && cfg_.allowWaitOnExecuting,
+      .cacheParts = cfg_.dataStoreEnabled && cfg_.cacheSubqueryResults,
+  };
 }
 
 std::optional<datastore::BlobId> QueryServer::cacheResult(
@@ -631,37 +429,6 @@ std::optional<datastore::BlobId> QueryServer::cacheResult(
   return ds_.insert(pred.clone(),
                     std::vector<std::byte>(out.begin(), out.end()),
                     sem_->qoutsize(pred));
-}
-
-std::vector<std::byte> QueryServer::computeQuery(sched::NodeId node,
-                                                 const query::Predicate& pred,
-                                                 metrics::QueryRecord& rec) {
-  // All source selection happens in the shared planner; record the plan's
-  // accounting, then execute its steps. Fold candidates are snapshotted
-  // before planning (cloned predicates), so the plan stays valid however
-  // the scans resolve afterwards — a settled scan just falls back at
-  // execution time.
-  std::vector<query::FoldCandidate> folds;
-  if (cfg_.foldScans && cfg_.allowWaitOnExecuting) {
-    folds = ps_.scanRegistry().candidatesFor(
-        scheduler_.execSeq(node),
-        static_cast<std::size_t>(std::max(8, 2 * cfg_.maxReuseSources)));
-  }
-  query::ReusePlan plan = [&] {
-    trace::SpanScope planSpan(tracer_, rec.queryId, trace::SpanKind::Plan);
-    return planner_.plan(pred, ds_, &scheduler_, node, /*depth=*/0,
-                         spill_.get(), folds);
-  }();
-  rec.overlapUsed = plan.primaryOverlap;
-  rec.reuseSources = plan.reuseSources();
-  rec.planBytesCovered = plan.planBytesCovered;
-  rec.planShape = plan.shape();
-  for (const query::PlanStep& step : plan.steps) {
-    if (step.kind != query::PlanStep::Kind::ComputeRemainder) {
-      rec.bytesReusedPerSource.push_back(step.bytesCovered);
-    }
-  }
-  return executePlan(std::move(plan), pred, /*depth=*/0, rec);
 }
 
 void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
@@ -693,7 +460,9 @@ void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
   if (!shed) {
     try {
       checkDeadline(rec);  // a query already past its deadline never executes
-      out = computeQuery(node, pred, rec);
+      out = query::PlanRunner<QueryServer>(*this, planContext())
+                .runQuery(node, pred, rec)
+                .syncWait();
     } catch (const std::exception& e) {
       failed = true;
       failureReason = e.what();
@@ -733,24 +502,8 @@ void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
   } else {
     std::optional<datastore::BlobId> blob;
     if (rec.overlapUsed < 1.0) blob = cacheResult(pred, out);
-    if (blob) {
-      MutexLock lock(mu_);
-      nodeBlob_[node] = *blob;
-      blobNode_[*blob] = node;
-    }
-    scheduler_.completed(node);
-    if (!blob) {
-      // Nothing cached (duplicate result, or DS full/disabled): the
-      // node cannot serve reuse, so it leaves the graph at once.
-      scheduler_.retired(node);
-    } else {
-      MutexLock lock(mu_);
-      if (evictedWhileExecuting_.erase(node) > 0) {
-        nodeBlob_.erase(node);
-        blobNode_.erase(*blob);
-        scheduler_.retired(node);
-      }
-    }
+    MutexLock lock(mu_);
+    catalog_.finish(node, blob);
   }
 
   // --- deliver ----------------------------------------------------------
@@ -791,52 +544,6 @@ void QueryServer::runQuery(sched::NodeId node, PendingQuery pq) {
     outcome.result = QueryResult{std::move(out), std::move(rec)};
   }
   settle(std::move(pq.done), std::move(outcome));
-}
-
-void QueryServer::onBlobEvicted(datastore::EvictedBlob blob) {
-  MutexLock lock(mu_);
-  sched::NodeId node = sched::kInvalidNode;
-  if (const auto it = blobNode_.find(blob.id); it != blobNode_.end()) {
-    node = it->second;
-    blobNode_.erase(it);
-    nodeBlob_.erase(node);
-    if (scheduler_.stateOf(node) != sched::QueryState::Cached) {
-      // Evicted before its own query finished (tiny Data Store): the
-      // finishing worker retires the node; nothing worth spilling yet.
-      evictedWhileExecuting_.insert(node);
-      return;
-    }
-  }
-  if (spill_ == nullptr) {
-    // No tier: eviction is terminal, exactly the historical behaviour
-    // (retired() on a CACHED node counts one swap-out and removes it).
-    if (node != sched::kInvalidNode) scheduler_.retired(node);
-    return;
-  }
-  // Demote (mu_ -> kSpillTier is rank-legal, 20 -> 44). Entries the tier
-  // FIFO-drops to make room are terminal for *their* nodes.
-  std::vector<datastore::SpillId> droppedIds;
-  const std::optional<datastore::SpillId> sid =
-      spill_->demote(std::move(blob), &droppedIds);
-  if (node != sched::kInvalidNode) {
-    if (sid) {
-      nodeSpill_[node] = *sid;
-      spillNode_[*sid] = node;
-      scheduler_.swappedOut(node);
-    } else {
-      scheduler_.retired(node);  // blob alone exceeds the tier
-    }
-  }
-  for (const datastore::SpillId d : droppedIds) retireSpilledLocked(d);
-}
-
-void QueryServer::retireSpilledLocked(datastore::SpillId sid) {
-  const auto it = spillNode_.find(sid);
-  if (it == spillNode_.end()) return;  // sub-query entry, no graph node
-  const sched::NodeId node = it->second;
-  spillNode_.erase(it);
-  nodeSpill_.erase(node);
-  scheduler_.retired(node);
 }
 
 }  // namespace mqs::server

@@ -3,11 +3,12 @@
 // A fixed-size pool of query threads pulls work from the QueryScheduler.
 // Each query: (1) asks the shared query::Planner for a ReusePlan over the
 // Data Store and the scheduling graph's EXECUTING set, (2) executes the
-// plan — projecting cached blobs, blocking on still-executing sources,
-// computing remainder sub-queries from raw data through the Page Space
-// Manager, (3) caches its own result, (4) settles the query: hands its
-// outcome to the submitter's Completion. Source selection lives entirely
-// in the planner; this file only executes plan steps.
+// plan through the shared query::PlanRunner — projecting cached blobs,
+// blocking on still-executing sources, computing remainder sub-queries
+// from raw data through the Page Space Manager, (3) caches its own result,
+// (4) settles the query: hands its outcome to the submitter's Completion.
+// Source selection lives in the planner and step logic in the runner; this
+// file supplies the runner's hooks (real bytes, real waits).
 //
 // Deadlock avoidance: a query may block on the completion latches of
 // EXECUTING queries only if they started earlier (enforced by
@@ -27,17 +28,19 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/lock_stats.hpp"
+#include "common/task.hpp"
 #include "common/thread_annotations.hpp"
 #include "datastore/data_store.hpp"
 #include "datastore/spill_tier.hpp"
 #include "metrics/metrics.hpp"
 #include "pagespace/page_space_manager.hpp"
 #include "query/executor.hpp"
+#include "query/plan_runner.hpp"
 #include "query/planner.hpp"
+#include "query/result_catalog.hpp"
 #include "sched/scheduler.hpp"
 #include "server/admission.hpp"
 #include "trace/trace.hpp"
@@ -273,36 +276,59 @@ class QueryServer {
   /// outcome, from an admission refusal to a worker's result, goes through
   /// here. Consumes `done`, so it runs once; callers hold no server lock.
   static void settle(Completion done, QueryOutcome outcome);
-  /// Plan + execute the top-level query (records the plan's accounting in
-  /// `rec`); throws whatever application code throws (runQuery converts
-  /// that into a Failed outcome).
-  std::vector<std::byte> computeQuery(sched::NodeId node,
-                                      const query::Predicate& pred,
-                                      metrics::QueryRecord& rec);
-  /// Execute a ReusePlan for `pred` (a whole query or a remainder part at
-  /// nesting level `depth`): project each cached/executing source into the
-  /// output, compute remainder steps via computePart at depth + 1.
-  std::vector<std::byte> executePlan(query::ReusePlan plan,
-                                     const query::Predicate& pred, int depth,
-                                     metrics::QueryRecord& rec);
-  /// Plan + execute one remainder part (depth >= 1) and optionally cache
-  /// its result; returns the part's full output buffer.
-  std::vector<std::byte> computePart(const query::Predicate& part, int depth,
-                                     metrics::QueryRecord& rec);
   std::optional<datastore::BlobId> cacheResult(const query::Predicate& pred,
                                                std::span<const std::byte> out);
-  /// Register a shared scan over `pred` with the Page Space Manager's
-  /// ScanRegistry when folding is on and this is a depth-0 compute
-  /// (DESIGN.md §14); returns an inactive guard otherwise. The guard's
-  /// destructor fails the scan if the compute unwinds before publishScan.
-  [[nodiscard]] pagespace::ScanRegistry::ScanGuard beginScanIfFolding(
-      const query::Predicate& pred, const metrics::QueryRecord& rec,
-      int depth);
-  /// Publish the computed bytes to the scan's subscribers (no-op for an
-  /// inactive guard) and emit the FOLD_SUBSCRIBERS gauge when anybody
-  /// actually folded in.
-  void publishScan(pagespace::ScanRegistry::ScanGuard& scan,
-                   std::span<const std::byte> bytes);
+  query::PlanContext planContext();
+
+  // Plan-step hooks (query::PlanRunner): each completes inline on the
+  // worker thread, blocking on latches and doing real I/O and projections.
+  friend class query::PlanRunner<QueryServer>;
+  using Output = std::vector<std::byte>;
+  [[nodiscard]] double now() const { return nowSeconds(); }
+  std::suspend_never awaitExecuting(sched::NodeId node) EXCLUDES(mu_);
+  std::suspend_never awaitScan(const pagespace::ScanRegistry::ScanPtr& scan) {
+    scan->done.wait();
+    return {};
+  }
+  /// Pin a resident blob for projection (nullopt when it is gone).
+  std::optional<query::ProjectionSource> holdBlob(datastore::BlobId blob);
+  std::suspend_never project(const query::ProjectionSource& src,
+                             const query::PlanStep& step,
+                             const query::Predicate& pred, Output& out) {
+    exec_->project(*step.sourcePred, src.bytes, pred, out);
+    return {};
+  }
+  void place(const query::Predicate& part, const Output& sub,
+             const query::Predicate& pred, Output& out) {
+    exec_->project(part, sub, pred, out);
+  }
+  Output makeOutput(const query::Predicate& pred) {
+    return Output(sem_->qoutsize(pred));
+  }
+  Ready<Output> computeRaw(const query::Predicate& pred,
+                           metrics::QueryRecord& /*rec*/) {
+    return {exec_->execute(pred, ps_)};
+  }
+  /// SpillTier::restore already read the payload back.
+  std::suspend_never payRestore(double /*seconds*/) { return {}; }
+  std::suspend_never payPlanning() { return {}; }
+  void cachePart(const query::Predicate& part, const Output& sub,
+                 const metrics::QueryRecord& /*rec*/) {
+    (void)cacheResult(part, sub);
+  }
+  int publishScan(pagespace::ScanRegistry::ScanGuard& scan, const Output& out) {
+    return scan.publish(out);
+  }
+  std::optional<datastore::BlobId> resultOf(sched::NodeId node) EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return catalog_.blobOf(node);
+  }
+  void rebind(datastore::SpillId sid, std::optional<datastore::BlobId> blob)
+      EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    catalog_.restored(sid, blob);
+  }
+
   /// Throws QueryFailure if the query's deadline has passed (no-op when
   /// queryDeadlineSec == 0). Called at dispatch and after blocking waits;
   /// deadlines are cooperative — a query already inside the executor is
@@ -318,15 +344,6 @@ class QueryServer {
   void noteServiceRate(double secPerByte);
   /// Return a dequeued/settled query's quota charge to its client.
   void releaseClientQuota(const metrics::QueryRecord& rec) REQUIRES(mu_);
-  /// Eviction listener: demote the blob to the spill tier (SWAPPED_OUT
-  /// retained) or retire its graph node terminally when there is no tier.
-  /// Runs with no Data Store locks held; must never call back into ds_
-  /// (the listener reentrancy guard aborts if it does).
-  void onBlobEvicted(datastore::EvictedBlob blob) EXCLUDES(mu_);
-  /// Terminal drop of a spilled entry (FIFO-dropped from the tier or its
-  /// restore lost a race): unmap it and retire its graph node.
-  void retireSpilledLocked(datastore::SpillId sid) REQUIRES(mu_);
-  std::shared_future<void> doneFutureOf(sched::NodeId node) EXCLUDES(mu_);
 
   const query::QuerySemantics* sem_;   ///< immutable after construction
   const query::QueryExecutor* exec_;   ///< immutable after construction
@@ -363,16 +380,8 @@ class QueryServer {
   std::unordered_map<sched::NodeId, PendingQuery> pending_ GUARDED_BY(mu_);
   std::unordered_map<sched::NodeId, std::shared_ptr<DoneLatch>> latches_
       GUARDED_BY(mu_);
-  std::unordered_map<sched::NodeId, datastore::BlobId> nodeBlob_
-      GUARDED_BY(mu_);
-  std::unordered_map<datastore::BlobId, sched::NodeId> blobNode_
-      GUARDED_BY(mu_);
-  std::unordered_set<sched::NodeId> evictedWhileExecuting_ GUARDED_BY(mu_);
-  /// SWAPPED_OUT bookkeeping: which spill entry backs which graph node.
-  std::unordered_map<sched::NodeId, datastore::SpillId> nodeSpill_
-      GUARDED_BY(mu_);
-  std::unordered_map<datastore::SpillId, sched::NodeId> spillNode_
-      GUARDED_BY(mu_);
+  /// Which blob or spill entry holds each finished query's result.
+  query::ResultCatalog catalog_ GUARDED_BY(mu_){scheduler_};
   bool stopping_ GUARDED_BY(mu_) = false;
 
   // --- overload behavior (DESIGN.md §11) --------------------------------

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
+#include "common/task.hpp"
 
 namespace mqs::sim {
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "query/plan_runner.hpp"
 #include "sim/vm_model.hpp"
 
 namespace mqs::sim {
@@ -28,6 +29,7 @@ SimServer::SimServer(Simulator& sim, const query::QuerySemantics* semantics,
       ds_(cfg_.dsBytes, semantics,
           datastore::parseEvictionPolicy(cfg_.dsEviction)),
       psCore_(cfg_.psBytes),
+      catalog_(scheduler_),
       planner_(semantics,
                query::PlannerConfig{
                    .dataStoreEnabled = cfg_.dataStoreEnabled,
@@ -36,10 +38,10 @@ SimServer::SimServer(Simulator& sim, const query::QuerySemantics* semantics,
                    .candidatePoolSize = std::max(8, 2 * cfg_.maxReuseSources),
                    .maxNestedReuseDepth = cfg_.maxNestedReuseDepth,
                    .minMarginalBytes = 1,
-                   // Single-threaded virtual time: nothing can evict a blob
-                   // between planning and the step that projects it unless
-                   // the plan itself inserts — handled by the contains()
-                   // re-check in executePlan, so no pinning needed.
+                   // Single-threaded virtual time: a blob can only vanish
+                   // between planning and its step while an earlier step
+                   // waits or runs CPU — handled by holdBlob's residency
+                   // re-check, so no pinning needed.
                    .pinSources = false,
                }),
       cpus_(sim, cfg_.cpus) {
@@ -63,8 +65,9 @@ SimServer::SimServer(Simulator& sim, const query::QuerySemantics* semantics,
           std::make_unique<DiskServer>(sim, cfg_.diskFarm.disk, disc));
     }
   }
-  ds_.setEvictionListener(
-      [this](datastore::EvictedBlob blob) { onBlobEvicted(std::move(blob)); });
+  ds_.setEvictionListener([this](datastore::EvictedBlob blob) {
+    catalog_.evicted(std::move(blob), spill_.get());
+  });
   if (cfg_.traceSink != nullptr) {
     tracer_ = cfg_.traceSink.get();
     // Events are stamped with virtual time — the same clock behind every
@@ -194,11 +197,11 @@ Task<void> SimServer::fetchChunk(storage::PageKey key, std::size_t bytes,
   inflight_.erase(key);
 }
 
-Task<void> SimServer::computeRaw(query::PredicatePtr pred,
-                                 metrics::QueryRecord* rec) {
+Task<SimServer::Output> SimServer::computeRaw(const query::Predicate& pred,
+                                              metrics::QueryRecord& rec) {
   // Compute from raw data: fetch each chunk through the page space, then
   // process it (demand comes from the application's cost adapter).
-  const std::vector<ChunkDemand> demand = model_->demandFor(*pred);
+  const std::vector<ChunkDemand> demand = model_->demandFor(pred);
   ++ioStreams_;
   for (std::size_t i = 0; i < demand.size(); ++i) {
     // Readahead: issue upcoming chunks asynchronously so the device queue
@@ -221,247 +224,59 @@ Task<void> SimServer::computeRaw(query::PredicatePtr pred,
     // a query's IO_STALL span total equals its ioStallTime exactly.
     const bool resident = psCore_.contains(demand[i].page);
     const Time stall0 = sim_->now();
-    if (!resident && rec != nullptr && tracer_ != nullptr) {
-      tracer_->beginSpan(rec->queryId, trace::SpanKind::IoStall);
+    if (!resident && tracer_ != nullptr) {
+      tracer_->beginSpan(rec.queryId, trace::SpanKind::IoStall);
     }
-    co_await fetchChunk(demand[i].page, demand[i].pageBytes, rec);
-    if (!resident && rec != nullptr) {
+    co_await fetchChunk(demand[i].page, demand[i].pageBytes, &rec);
+    if (!resident) {
       if (tracer_ != nullptr) {
-        tracer_->endSpan(rec->queryId, trace::SpanKind::IoStall);
+        tracer_->endSpan(rec.queryId, trace::SpanKind::IoStall);
       }
-      rec->ioStallTime += sim_->now() - stall0;
+      rec.ioStallTime += sim_->now() - stall0;
     }
     co_await cpuRun(demand[i].cpuSeconds);
   }
   --ioStreams_;
+  co_return Output{};
 }
 
-pagespace::ScanRegistry::ScanGuard SimServer::beginScanIfFolding(
-    const query::Predicate& pred, const metrics::QueryRecord& rec,
-    int depth) {
-  if (!cfg_.foldScans || !cfg_.allowWaitOnExecuting || depth != 0) return {};
-  pagespace::ScanRegistry::ScanGuard guard =
-      scans_.beginScan(pred, rec.queryId, scheduler_.execSeq(rec.queryId));
-  scanTrigger_.emplace(guard.id(), std::make_unique<Trigger>(*sim_));
-  return guard;
+// --- plan-step hooks (query::PlanRunner) -----------------------------------
+
+Task<void> SimServer::awaitScan(const pagespace::ScanRegistry::ScanPtr& scan) {
+  // A subscriber joins only a Running scan, and nothing between subscribe
+  // and this wait advances virtual time, so the scan has not published
+  // yet: publishScan fires this Trigger (the simulator never touches a
+  // scan's std::future latch, which would block its one OS thread).
+  std::unique_ptr<Trigger>& trigger = scanTrigger_[scan->id];
+  if (trigger == nullptr) trigger = std::make_unique<Trigger>(*sim_);
+  co_await trigger->wait();
 }
 
-void SimServer::publishScan(pagespace::ScanRegistry::ScanGuard& scan) {
-  if (!scan.active()) return;
+int SimServer::publishScan(pagespace::ScanRegistry::ScanGuard& scan,
+                           const Output& /*out*/) {
   const query::ScanId id = scan.id();
   // The simulator carries no result bytes: publish an empty payload (the
   // registry state machine is what subscribers consult) and fire the
-  // Trigger — waiters resume as events at the current virtual time, after
-  // which the Trigger is dead weight and can be retired.
+  // waiters' Trigger; they resume as events at the current virtual time.
   const int subscribers = scan.publish({});
-  if (subscribers > 0 && tracer_ != nullptr) {
-    tracer_->counter(trace::CounterKind::FoldSubscribers, subscribers);
-  }
   if (const auto it = scanTrigger_.find(id); it != scanTrigger_.end()) {
     it->second->fire();
     scanTrigger_.erase(it);
   }
+  return subscribers;
 }
 
-Task<void> SimServer::executePlan(query::ReusePlan plan,
-                                  query::PredicatePtr pred, int depth,
-                                  metrics::QueryRecord* rec) {
-  const auto d8 = static_cast<std::uint8_t>(depth);
-  // Raw fast path: a plan without projection steps is a single
-  // ComputeRemainder step covering `pred` (mirrors the threaded server's
-  // direct-execute path — in particular it does not cache sub-results).
-  if (!plan.hasReuse()) {
-    trace::SpanScope compute(tracer_, rec->queryId, trace::SpanKind::Compute,
-                             d8);
-    pagespace::ScanRegistry::ScanGuard scan =
-        beginScanIfFolding(*pred, *rec, depth);
-    co_await computeRaw(std::move(pred), rec);
-    publishScan(scan);
-    co_return;
-  }
-
-  for (query::PlanStep& step : plan.steps) {
-    switch (step.kind) {
-      case query::PlanStep::Kind::ProjectFromCached: {
-        trace::SpanScope project(tracer_, rec->queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered,
-                                 trace::kFlagCachedSource);
-        // The planner runs unpinned here (single-threaded virtual time),
-        // so re-check residency: with threads > 1 another query may have
-        // evicted the blob while an earlier step waited or ran CPU.
-        if (ds_.contains(step.blob)) {
-          co_await cpuRun(static_cast<double>(step.projectionBytes) *
-                          cfg_.cpuPerOutByteProject);
-          rec->bytesReused += step.bytesCovered;
-        } else {
-          for (query::PredicatePtr& cp : step.coveredParts) {
-            co_await computePart(std::move(cp), depth + 1, rec);
-          }
-        }
-        break;
-      }
-      case query::PlanStep::Kind::WaitAndProjectFromExecuting: {
-        // The PROJECT span covers the whole step — including the fallback
-        // compute below — so a query's depth-0 PROJECT count always equals
-        // its recorded reuseSources, even when a source vanished.
-        trace::SpanScope project(tracer_, rec->queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered,
-                                 trace::kFlagExecutingSource);
-        // Block on the still-executing reuse source. The slot stays
-        // occupied — exactly the CPU waste FF/CNBF try to avoid (§4).
-        rec->reusedExecuting = true;
-        const Time t0 = sim_->now();
-        {
-          trace::SpanScope wait(tracer_, rec->queryId,
-                                trace::SpanKind::WaitSource, d8);
-          co_await completionOf(step.node).wait();
-        }
-        rec->blockedTime += sim_->now() - t0;
-        const auto it = nodeBlob_.find(step.node);
-        if (it != nodeBlob_.end() && ds_.contains(it->second)) {
-          ds_.noteReuse(it->second, step.overlap);
-          co_await cpuRun(static_cast<double>(step.projectionBytes) *
-                          cfg_.cpuPerOutByteProject);
-          rec->bytesReused += step.bytesCovered;
-        } else {
-          // The source failed, produced an uncacheable result, or was
-          // evicted before we could read it: compute this step's share
-          // from raw data instead (its coveredParts tile it).
-          for (query::PredicatePtr& cp : step.coveredParts) {
-            co_await computePart(std::move(cp), depth + 1, rec);
-          }
-        }
-        break;
-      }
-      case query::PlanStep::Kind::RestoreFromSpill: {
-        // The PROJECT span covers restore + projection (and the fallback
-        // compute if the entry vanished). The modeled disk read is charged
-        // as plain virtual delay — not an IO_STALL span — so a query's
-        // IO_STALL span total still equals its recorded ioStallTime (which
-        // counts only Page Space stalls, same as the threaded server).
-        trace::SpanScope project(tracer_, rec->queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered, trace::kFlagSpillSource);
-        std::optional<datastore::EvictedBlob> restoredBlob =
-            spill_ != nullptr ? spill_->restore(step.spillId) : std::nullopt;
-        if (restoredBlob) {
-          co_await sim_->delay(step.restoreCostSec);
-          // Re-insert with the blob's *original* traced cost; passing it
-          // explicitly keeps the restoring query's own ledger untouched.
-          const std::uint64_t lb = restoredBlob->logicalBytes;
-          const double rc = restoredBlob->recomputeCostSec;
-          const std::optional<datastore::BlobId> nb =
-              ds_.insert(std::move(restoredBlob->predicate), {}, lb, rc);
-          if (const auto nIt = spillNode_.find(step.spillId);
-              nIt != spillNode_.end()) {
-            const sched::NodeId rn = nIt->second;
-            spillNode_.erase(nIt);
-            nodeSpill_.erase(rn);
-            if (nb) {
-              nodeBlob_[rn] = *nb;
-              blobNode_[*nb] = rn;
-              scheduler_.restored(rn);
-            } else {
-              // Insert refused (duplicate or over budget): the spill entry
-              // is spent, so the node's result is gone for good.
-              scheduler_.retired(rn);
-            }
-          }
-          co_await cpuRun(static_cast<double>(step.projectionBytes) *
-                          cfg_.cpuPerOutByteProject);
-          rec->bytesReused += step.bytesCovered;
-        } else {
-          // Dropped (or restored by a racing query) between planning and
-          // execution: compute this step's share from raw data instead.
-          for (query::PredicatePtr& cp : step.coveredParts) {
-            co_await computePart(std::move(cp), depth + 1, rec);
-          }
-        }
-        break;
-      }
-      case query::PlanStep::Kind::FoldIntoScan: {
-        // The PROJECT span covers the whole step — including the fallback
-        // below — so depth-0 PROJECT count always equals reuseSources even
-        // when the scan settled before this step ran.
-        trace::SpanScope project(tracer_, rec->queryId,
-                                 trace::SpanKind::Project, d8,
-                                 step.bytesCovered, trace::kFlagFoldSource);
-        pagespace::ScanRegistry::ScanPtr scan = scans_.subscribe(step.scanId);
-        bool projected = false;
-        if (scan != nullptr) {
-          // The fold is real: annotate the graph and suspend on the scan's
-          // Trigger (the owner is strictly older by execution sequence, so
-          // the wait graph stays acyclic). The slot stays occupied, same
-          // as a wait on an executing source.
-          scheduler_.noteFold(rec->queryId, step.node);
-          if (tracer_ != nullptr) {
-            tracer_->counter(trace::CounterKind::FoldHit);
-          }
-          rec->reusedExecuting = true;
-          const Time t0 = sim_->now();
-          {
-            trace::SpanScope wait(tracer_, rec->queryId,
-                                  trace::SpanKind::WaitSource, d8);
-            if (const auto tIt = scanTrigger_.find(scan->id);
-                tIt != scanTrigger_.end()) {
-              co_await tIt->second->wait();
-            }
-          }
-          rec->blockedTime += sim_->now() - t0;
-          if (scan->state == pagespace::ScanRegistry::ScanState::Published) {
-            // Shared payload: charge projection CPU only — the region's
-            // fetches and scan CPU happened once, on the owner.
-            co_await cpuRun(static_cast<double>(step.projectionBytes) *
-                            cfg_.cpuPerOutByteProject);
-            rec->bytesReused += step.bytesCovered;
-            if (tracer_ != nullptr) {
-              tracer_->counter(trace::CounterKind::ScanBytesShared,
-                               static_cast<double>(step.bytesCovered));
-            }
-            projected = true;
-          }
-        }
-        if (!projected) {
-          // The scan settled before we joined, or its owner failed: replan
-          // this step's share independently from raw data (the §14 failure
-          // contract — a subscriber never hangs).
-          for (query::PredicatePtr& cp : step.coveredParts) {
-            co_await computePart(std::move(cp), depth + 1, rec);
-          }
-        }
-        break;
-      }
-      case query::PlanStep::Kind::ComputeRemainder: {
-        trace::SpanScope compute(tracer_, rec->queryId,
-                                 trace::SpanKind::Compute, d8,
-                                 step.bytesCovered);
-        pagespace::ScanRegistry::ScanGuard scan =
-            beginScanIfFolding(*step.pred, *rec, depth);
-        co_await computePart(std::move(step.pred), depth + 1, rec);
-        publishScan(scan);
-        break;
-      }
-    }
-  }
-}
-
-Task<void> SimServer::computePart(query::PredicatePtr part, int depth,
-                                  metrics::QueryRecord* rec) {
-  // Nested reuse: sub-queries are "processed just like any other query"
-  // (§2), so they get their own plan — the planner enforces the depth
-  // limit and never waits on executing queries for nested parts.
-  const std::uint64_t partOutBytes = sem_->qoutsize(*part);
-  query::ReusePlan plan = [&] {
-    trace::SpanScope planSpan(tracer_, rec->queryId, trace::SpanKind::Plan,
-                              static_cast<std::uint8_t>(depth));
-    return planner_.plan(*part, ds_, nullptr, sched::kInvalidNode, depth);
-  }();
-  co_await executePlan(std::move(plan), part->clone(), depth, rec);
-  if (cfg_.dataStoreEnabled && cfg_.cacheSubqueryResults) {
-    (void)insertWithCost(std::move(part), partOutBytes, rec->queryId);
-  }
+query::PlanContext SimServer::planContext() {
+  return query::PlanContext{
+      .planner = &planner_,
+      .ds = &ds_,
+      .spill = spill_.get(),
+      .scheduler = &scheduler_,
+      .scans = &scans_,
+      .tracer = tracer_,
+      .foldScans = cfg_.foldScans && cfg_.allowWaitOnExecuting,
+      .cacheParts = cfg_.dataStoreEnabled && cfg_.cacheSubqueryResults,
+  };
 }
 
 std::optional<datastore::BlobId> SimServer::insertWithCost(
@@ -480,35 +295,12 @@ Task<void> SimServer::queryTask(sched::NodeId node, metrics::QueryRecord rec) {
   MQS_CHECK_MSG(predPtr != nullptr, "running query has no graph node");
   const query::Predicate& pred = *predPtr;
 
-  // The PLAN span covers the modeled planning overhead plus the real
-  // planner call (both are "planning" in the lifecycle vocabulary).
-  trace::SpanScope planSpan(tracer_, node, trace::SpanKind::Plan);
-  co_await cpuRun(cfg_.planningOverheadSec);
-
-  // All source selection happens in the shared planner; record the plan's
-  // accounting, then execute its steps with modeled costs. Fold candidates
-  // are snapshotted before planning — in virtual time the owner's scan is
-  // still Running at the plan instant, so every emitted FoldIntoScan step
-  // deterministically finds its scan at execution.
-  std::vector<query::FoldCandidate> folds;
-  if (cfg_.foldScans && cfg_.allowWaitOnExecuting) {
-    folds = scans_.candidatesFor(
-        scheduler_.execSeq(node),
-        static_cast<std::size_t>(std::max(8, 2 * cfg_.maxReuseSources)));
-  }
-  query::ReusePlan plan = planner_.plan(pred, ds_, &scheduler_, node,
-                                        /*depth=*/0, spill_.get(), folds);
-  rec.overlapUsed = plan.primaryOverlap;
-  rec.reuseSources = plan.reuseSources();
-  rec.planBytesCovered = plan.planBytesCovered;
-  rec.planShape = plan.shape();
-  for (const query::PlanStep& step : plan.steps) {
-    if (step.kind != query::PlanStep::Kind::ComputeRemainder) {
-      rec.bytesReusedPerSource.push_back(step.bytesCovered);
-    }
-  }
-  planSpan.close();
-  co_await executePlan(std::move(plan), pred.clone(), /*depth=*/0, &rec);
+  // Planning, every plan step and its modeled costs: the interpreter the
+  // threaded server runs too. In virtual time a fold owner's scan is still
+  // Running at the plan instant, so every planned FoldIntoScan step finds
+  // its scan at execution.
+  query::PlanRunner<SimServer> runner(*this, planContext());
+  (void)co_await runner.runQuery(node, pred, rec);
 
   // The terminal DELIVER span covers result caching, the graph-node
   // transition, and completion delivery (same vocabulary as the threaded
@@ -525,7 +317,7 @@ Task<void> SimServer::queryTask(sched::NodeId node, metrics::QueryRecord rec) {
   } else {
     trace::Tracer::QueryScope scope(tracer_, node);
   }
-  finishNode(node, blob);
+  catalog_.finish(node, blob);
 
   // Feedback for self-tuning policies: achieved reuse, plus the current
   // disk-queue pressure normalized by the thread pool size.
@@ -543,70 +335,6 @@ Task<void> SimServer::queryTask(sched::NodeId node, metrics::QueryRecord rec) {
   --active_;
   completionOf(node).fire();
   pump();
-}
-
-void SimServer::finishNode(sched::NodeId node,
-                           std::optional<datastore::BlobId> blob) {
-  if (blob) {
-    nodeBlob_[node] = *blob;
-    blobNode_[*blob] = node;
-  }
-  scheduler_.completed(node);
-  if (!blob) {
-    // Nothing cached for this node: it cannot serve as a reuse source, so
-    // it leaves the graph immediately (as if swapped out).
-    scheduler_.retired(node);
-    return;
-  }
-  if (evictedWhileExecuting_.erase(node) > 0) {
-    // Our blob was reclaimed before we even finished (tiny Data Store).
-    nodeBlob_.erase(node);
-    blobNode_.erase(*blob);
-    scheduler_.retired(node);
-  }
-}
-
-void SimServer::onBlobEvicted(datastore::EvictedBlob blob) {
-  sched::NodeId node = sched::kInvalidNode;
-  if (const auto it = blobNode_.find(blob.id); it != blobNode_.end()) {
-    node = it->second;
-    blobNode_.erase(it);
-    nodeBlob_.erase(node);
-    if (scheduler_.stateOf(node) != sched::QueryState::Cached) {
-      // Evicted before its own query finished (tiny Data Store): the
-      // finisher retires the node; nothing worth spilling yet.
-      evictedWhileExecuting_.insert(node);
-      return;
-    }
-  }
-  if (spill_ == nullptr) {
-    // No tier: eviction is terminal, exactly the historical behaviour
-    // (retired() on a CACHED node counts one swap-out and removes it).
-    if (node != sched::kInvalidNode) scheduler_.retired(node);
-    return;
-  }
-  std::vector<datastore::SpillId> droppedIds;
-  const std::optional<datastore::SpillId> sid =
-      spill_->demote(std::move(blob), &droppedIds);
-  if (node != sched::kInvalidNode) {
-    if (sid) {
-      nodeSpill_[node] = *sid;
-      spillNode_[*sid] = node;
-      scheduler_.swappedOut(node);
-    } else {
-      scheduler_.retired(node);  // blob alone exceeds the tier
-    }
-  }
-  for (const datastore::SpillId d : droppedIds) retireSpilled(d);
-}
-
-void SimServer::retireSpilled(datastore::SpillId sid) {
-  const auto it = spillNode_.find(sid);
-  if (it == spillNode_.end()) return;  // sub-query entry, no graph node
-  const sched::NodeId node = it->second;
-  spillNode_.erase(it);
-  nodeSpill_.erase(node);
-  scheduler_.retired(node);
 }
 
 SimServer::IoStats SimServer::ioStats() const {

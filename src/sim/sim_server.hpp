@@ -3,20 +3,20 @@
 //
 // Everything that decides *what* happens is the real code — the scheduling
 // graph, ranking policies, Data Store residency, page-cache residency, and
-// reuse planning (the shared query::Planner produces the same ReusePlans
-// the threaded server executes). Only *how long* things take is modeled:
-// CPU bursts occupy one of `cpus` processors, page misses queue FCFS at one
-// of the modeled disks, and a query blocked on a still-executing dependency
-// holds its thread-pool slot without consuming CPU (the waste FF/CNBF try
-// to avoid). Plan execution charges modeled costs per step instead of
-// moving bytes; no source-selection logic lives in this file.
+// reuse planning and plan-step execution (the shared query::Planner and
+// query::PlanRunner the threaded server runs too). Only *how long* things
+// take is modeled: CPU bursts occupy one of `cpus` processors, page misses
+// queue FCFS at one of the modeled disks, and a query blocked on a
+// still-executing dependency holds its thread-pool slot without consuming
+// CPU (the waste FF/CNBF try to avoid). The plan-step hooks charge modeled
+// costs instead of moving bytes; no source-selection or step logic lives
+// in this file.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "datastore/data_store.hpp"
@@ -24,7 +24,9 @@
 #include "metrics/metrics.hpp"
 #include "pagespace/page_cache_core.hpp"
 #include "pagespace/scan_registry.hpp"
+#include "query/plan_runner.hpp"
 #include "query/planner.hpp"
+#include "query/result_catalog.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/app_model.hpp"
 #include "sim/disk_server.hpp"
@@ -159,47 +161,73 @@ class SimServer {
   [[nodiscard]] trace::Tracer* tracer() const { return tracer_; }
 
  private:
+  friend class query::PlanRunner<SimServer>;
+  /// The simulator moves no result bytes (query::PlanRunner's Output).
+  struct Output {};
+
   Task<void> queryTask(sched::NodeId node, metrics::QueryRecord rec);
-  /// Execute a ReusePlan for `pred` (a query or remainder part at nesting
-  /// level `depth`), charging modeled costs per step: project-CPU for
-  /// cached sources, latch wait + project-CPU for executing sources,
-  /// computePart for remainders. Mirrors QueryServer::executePlan.
-  Task<void> executePlan(query::ReusePlan plan, query::PredicatePtr pred,
-                         int depth, metrics::QueryRecord* rec);
-  /// Plan + execute one remainder part (depth >= 1) and optionally cache
-  /// its (simulated) result.
-  Task<void> computePart(query::PredicatePtr part, int depth,
-                         metrics::QueryRecord* rec);
+  query::PlanContext planContext();
+
+  // Plan-step hooks (query::PlanRunner): every cost is modeled in virtual
+  // time. Projections charge project-CPU, waits suspend on Triggers,
+  // restores charge the spill tier's modeled read.
+  [[nodiscard]] double now() const { return sim_->now(); }
+  void checkDeadline(const metrics::QueryRecord& /*rec*/) const {}
+  [[nodiscard]] Trigger::Awaiter awaitExecuting(sched::NodeId node) {
+    return completionOf(node).wait();
+  }
+  Task<void> awaitScan(const pagespace::ScanRegistry::ScanPtr& scan);
+  /// Unpinned: a pin would change which blobs later inserts evict.
+  [[nodiscard]] std::optional<query::ProjectionSource> holdBlob(
+      datastore::BlobId blob) const {
+    if (!ds_.contains(blob)) return std::nullopt;
+    return query::ProjectionSource{};
+  }
+  Task<void> project(const query::ProjectionSource& /*src*/,
+                     const query::PlanStep& step,
+                     const query::Predicate& /*pred*/, Output& /*out*/) {
+    return cpuRun(static_cast<double>(step.projectionBytes) *
+                  cfg_.cpuPerOutByteProject);
+  }
+  void place(const query::Predicate& /*part*/, const Output& /*sub*/,
+             const query::Predicate& /*pred*/, Output& /*out*/) {}
+  [[nodiscard]] Output makeOutput(const query::Predicate& /*pred*/) {
+    return {};
+  }
   /// Compute `pred` entirely from raw data: fetch + process each chunk of
   /// the application model's demand. No Data Store interaction.
-  Task<void> computeRaw(query::PredicatePtr pred, metrics::QueryRecord* rec);
-  /// Register a shared scan over `pred` when folding is on and this is a
-  /// depth-0 compute (DESIGN.md §14); returns an inactive guard otherwise.
-  /// Pairs the scan with a Trigger so subscriber coroutines can await it
-  /// (a std::future wait would block the simulator's one OS thread).
-  [[nodiscard]] pagespace::ScanRegistry::ScanGuard beginScanIfFolding(
-      const query::Predicate& pred, const metrics::QueryRecord& rec,
-      int depth);
-  /// Publish the scan (the simulator carries no payload bytes — subscriber
-  /// savings are modeled as skipped fetches), fire + retire its Trigger,
-  /// and emit the FOLD_SUBSCRIBERS gauge when anybody folded in.
-  void publishScan(pagespace::ScanRegistry::ScanGuard& scan);
+  Task<Output> computeRaw(const query::Predicate& pred,
+                          metrics::QueryRecord& rec);
+  [[nodiscard]] Simulator::DelayAwaiter payRestore(double seconds) {
+    return sim_->delay(seconds);
+  }
+  Task<void> payPlanning() { return cpuRun(cfg_.planningOverheadSec); }
+  void cachePart(const query::Predicate& part, const Output& /*sub*/,
+                 const metrics::QueryRecord& rec) {
+    (void)insertWithCost(part.clone(), sem_->qoutsize(part), rec.queryId);
+  }
+  /// Publish the scan (no payload bytes — subscriber savings are modeled
+  /// as skipped fetches) and fire + retire its Trigger.
+  int publishScan(pagespace::ScanRegistry::ScanGuard& scan,
+                  const Output& out);
+  [[nodiscard]] std::optional<datastore::BlobId> resultOf(
+      sched::NodeId node) const {
+    return catalog_.blobOf(node);
+  }
+  void rebind(datastore::SpillId sid, std::optional<datastore::BlobId> blob) {
+    catalog_.restored(sid, blob);
+  }
+
   /// Read-through page fetch; `rec` may be null (prefetch accounting).
   Task<void> fetchChunk(storage::PageKey key, std::size_t bytes,
                         metrics::QueryRecord* rec);
   Task<void> cpuRun(double seconds);
-  /// Eviction listener: demote to the spill tier (SWAPPED_OUT retained) or
-  /// retire the node terminally when there is no tier. Never re-enters ds_.
-  void onBlobEvicted(datastore::EvictedBlob blob);
-  /// Terminal drop of a spilled entry: unmap + retire its graph node.
-  void retireSpilled(datastore::SpillId sid);
   /// Cache `pred`'s simulated result with the query's accrued virtual-time
   /// recompute cost attributed to the blob (a no-op ledger take when cost
   /// accounting is off).
   std::optional<datastore::BlobId> insertWithCost(query::PredicatePtr pred,
                                                   std::uint64_t outBytes,
                                                   std::uint64_t queryId);
-  void finishNode(sched::NodeId node, std::optional<datastore::BlobId> blob);
   void pump();
 
   Simulator* sim_;
@@ -211,6 +239,8 @@ class SimServer {
   datastore::DataStore ds_;
   std::unique_ptr<datastore::SpillTier> spill_;  ///< null when spillBytes == 0
   pagespace::PageCacheCore psCore_;
+  /// Which blob or spill entry holds each finished query's result.
+  query::ResultCatalog catalog_;
   query::Planner planner_;
   Semaphore cpus_;
   std::vector<std::unique_ptr<FcfsServer>> disks_;        ///< "kstream"
@@ -219,19 +249,12 @@ class SimServer {
                      storage::PageKeyHash>
       inflight_;
   std::unordered_map<sched::NodeId, std::unique_ptr<Trigger>> completion_;
-  /// Shared-scan registry (DESIGN.md §14) and the per-scan Triggers
-  /// subscribers await (fired and erased at publish; the simulator never
-  /// touches a Scan's std::future latch).
+  /// Shared-scan registry (DESIGN.md §14) and the Triggers subscribers
+  /// await, made by the first subscriber and fired and erased at publish.
   pagespace::ScanRegistry scans_;
   std::unordered_map<query::ScanId, std::unique_ptr<Trigger>> scanTrigger_;
   /// Records of submitted-but-not-yet-dispatched queries.
   std::unordered_map<sched::NodeId, metrics::QueryRecord> pending_;
-  std::unordered_map<sched::NodeId, datastore::BlobId> nodeBlob_;
-  std::unordered_map<datastore::BlobId, sched::NodeId> blobNode_;
-  /// SWAPPED_OUT bookkeeping: which spill entry backs which graph node.
-  std::unordered_map<sched::NodeId, datastore::SpillId> nodeSpill_;
-  std::unordered_map<datastore::SpillId, sched::NodeId> spillNode_;
-  std::unordered_set<sched::NodeId> evictedWhileExecuting_;
   int active_ = 0;
   /// Queries currently issuing raw-data I/O — the k of the disk model's
   /// k-stream seek approximation.

@@ -11,9 +11,12 @@
 #include <queue>
 #include <vector>
 
-#include "sim/task.hpp"
+#include "common/task.hpp"
 
 namespace mqs::sim {
+
+/// The engine's coroutine type (common/task.hpp), under its historical name.
+using ::mqs::Task;
 
 using Time = double;
 

@@ -92,27 +92,28 @@ SpanTree buildSpanTree(const std::vector<Event>& queryEvents) {
 
 std::string planShapeOf(const std::vector<Event>& queryEvents) {
   std::string out;
-  for (const Event& e : queryEvents) {
-    if (e.type != EventType::SpanBegin || e.depth != 0) continue;
-    const SpanKind kind = e.spanKind();
+  // Spans, not begin events: the fell-back flag is only known at the end.
+  for (const Span& s : buildSpanTree(queryEvents).spans) {
+    if (s.depth != 0) continue;
     char c = 0;
-    if (kind == SpanKind::Project) {
+    if (s.kind == SpanKind::Project) {
       // Fold wins first (a folded projection waits on the scan owner, so
       // its span can also look executing-sourced), then spill before the
       // executing/cached split: a restore step is a projection, but
       // sourced from the tier.
-      c = (e.flags & kFlagFoldSource) != 0        ? 'F'
-          : (e.flags & kFlagSpillSource) != 0     ? 'S'
-          : (e.flags & kFlagExecutingSource) != 0 ? 'X'
+      c = (s.flags & kFlagFoldSource) != 0        ? 'F'
+          : (s.flags & kFlagSpillSource) != 0     ? 'S'
+          : (s.flags & kFlagExecutingSource) != 0 ? 'X'
                                                   : 'C';
-    } else if (kind == SpanKind::Compute) {
+      if ((s.flags & kFlagFellBack) != 0) c = static_cast<char>(c - 'A' + 'a');
+    } else if (s.kind == SpanKind::Compute) {
       c = 'R';
     } else {
       continue;
     }
     if (!out.empty()) out += '|';
     out += c;
-    if (c != 'R') out += std::to_string(e.value);
+    if (c != 'R') out += std::to_string(s.value);
   }
   return out;
 }

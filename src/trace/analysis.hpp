@@ -46,11 +46,14 @@ struct SpanTree {
 /// Pair a query's events (as returned by eventsForQuery) into spans.
 [[nodiscard]] SpanTree buildSpanTree(const std::vector<Event>& queryEvents);
 
-/// Reconstruct the reuse-plan signature from a query's trace, in the exact
-/// vocabulary of metrics::QueryRecord::planShape / query::ReusePlan::shape:
-/// "C<bytes>" per cached projection, "X<bytes>" per executing-source
-/// projection, "R" per remainder compute — top-level (depth 0) spans only,
-/// '|'-separated. Identical across engines for identical plans.
+/// Reconstruct the executed plan signature from a query's trace, in the
+/// exact vocabulary of metrics::QueryRecord::planShape: "C<bytes>" per
+/// cached projection, "X<bytes>" per executing-source projection,
+/// "S<bytes>" per spill restore, "F<bytes>" per folded scan, "R" per
+/// remainder compute — top-level (depth 0) spans only, '|'-separated. A
+/// projection whose span ends with kFlagFellBack gets its letter in lower
+/// case ("f4096"): it recomputed instead. Identical across engines for
+/// identical executions.
 [[nodiscard]] std::string planShapeOf(const std::vector<Event>& queryEvents);
 
 /// Distinct query ids appearing in span events, in first-seen order.

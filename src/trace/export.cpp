@@ -94,12 +94,15 @@ void exportChromeTrace(std::ostream& os, const std::vector<Event>& events) {
          << ",\"depth\":" << static_cast<int>(e.depth);
       if (e.spanKind() == SpanKind::Project) {
         os << ",\"bytes\":" << e.value << ",\"source\":\""
-           << ((e.flags & kFlagSpillSource) != 0      ? "spilled"
+           << ((e.flags & kFlagFoldSource) != 0        ? "folded"
+               : (e.flags & kFlagSpillSource) != 0      ? "spilled"
                : (e.flags & kFlagExecutingSource) != 0 ? "executing"
                                                        : "cached")
            << "\"";
       }
       os << "}";
+    } else if ((e.flags & kFlagFellBack) != 0) {
+      os << ",\"args\":{\"fell_back\":true}";
     } else if ((e.flags & kFlagFailed) != 0) {
       os << ",\"args\":{\"failed\":true}";
     } else if ((e.flags & kFlagShed) != 0) {

@@ -113,6 +113,9 @@ inline constexpr std::uint8_t kFlagSpillSource = 0x10;  ///< PROJECT from the
                                                         ///< spill tier
 inline constexpr std::uint8_t kFlagFoldSource = 0x20;  ///< PROJECT from a
                                                        ///< folded shared scan
+/// On a PROJECT span's end event: the source was gone when the step ran,
+/// so the step computed its covered parts from raw data instead.
+inline constexpr std::uint8_t kFlagFellBack = 0x40;
 
 struct Event {
   double ts = 0.0;            ///< engine seconds (virtual in the simulator)

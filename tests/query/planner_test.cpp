@@ -12,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "datastore/data_store.hpp"
+#include "query/plan_runner.hpp"
 #include "sched/scheduler.hpp"
 #include "vm/vm_predicate.hpp"
 #include "vm/vm_semantics.hpp"
@@ -318,6 +319,14 @@ TEST_F(PlannerTest, PropertyCoverageAccountingIsExact) {
       prevCovered = plan.planBytesCovered;
     }
   }
+}
+
+TEST(PlanShapeTest, MarkFellBackLowercasesOnlyThatStep) {
+  std::string shape = "C49152|X4096|S8192|F4096|R";
+  markFellBack(shape, 3);
+  EXPECT_EQ(shape, "C49152|X4096|S8192|f4096|R");
+  markFellBack(shape, 0);
+  EXPECT_EQ(shape, "c49152|X4096|S8192|f4096|R");
 }
 
 }  // namespace

@@ -360,6 +360,11 @@ TEST_F(QueryServerTest, FailureDoesNotPoisonDependents) {
   // owner, and nothing it delivered came from the failed scan.
   EXPECT_TRUE(result.record.reusedExecuting) << result.record.planShape;
   EXPECT_EQ(result.record.bytesReused, 0u) << result.record.planShape;
+  // The record says the fold fell back: lower-case 'f', no executed 'F'.
+  EXPECT_NE(result.record.planShape.find('f'), std::string::npos)
+      << result.record.planShape;
+  EXPECT_EQ(result.record.planShape.find('F'), std::string::npos)
+      << result.record.planShape;
 }
 
 TEST_F(QueryServerTest, PyramidPrewarmServesAlignedQueriesFromCache) {

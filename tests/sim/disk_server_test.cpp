@@ -4,7 +4,7 @@
 
 #include <vector>
 
-#include "sim/task.hpp"
+#include "common/task.hpp"
 
 namespace mqs::sim {
 namespace {

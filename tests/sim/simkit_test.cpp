@@ -5,7 +5,7 @@
 
 #include "sim/primitives.hpp"
 #include "sim/simulator.hpp"
-#include "sim/task.hpp"
+#include "common/task.hpp"
 
 namespace mqs::sim {
 namespace {

@@ -5,8 +5,10 @@
 // top-level span durations sum to at most responseTime(); the IO_STALL
 // total equals QueryRecord::ioStallTime exactly (the Page Space Manager
 // derives both from the same clock reads); the depth-0 PROJECT span count
-// equals reuseSources; the reconstructed plan shape equals planShape; the
-// terminal span is DELIVER, carrying the failed flag iff the query failed.
+// equals reuseSources; the reconstructed plan shape equals planShape
+// (fell-back steps in lower case in both); bytesReused equals the covered
+// bytes of the PROJECT spans that did not fall back; the terminal span is
+// DELIVER, carrying the failed flag iff the query failed.
 //
 // Plus Tracer-core semantics the overhead guard and collectors rely on:
 // a disabled tracer buffers nothing, drain() is consuming and complete
@@ -163,6 +165,16 @@ void expectLifecycleInvariants(const TracedRun& run,
     }
     EXPECT_EQ(project0, static_cast<int>(rec.reuseSources));
     EXPECT_EQ(trace::planShapeOf(qe), rec.planShape);
+    // Records say what executed: only projections that read their source
+    // count as reused bytes, at every nesting depth.
+    std::uint64_t projectedBytes = 0;
+    for (const trace::Span& s : tree.spans) {
+      if (s.kind == trace::SpanKind::Project &&
+          (s.flags & trace::kFlagFellBack) == 0) {
+        projectedBytes += s.value;
+      }
+    }
+    EXPECT_EQ(rec.bytesReused, projectedBytes);
     sawReuse = sawReuse || rec.reuseSources > 0;
   }
   // The workload is overlap-rich and larger than the page space by
@@ -242,6 +254,42 @@ TEST(TraceInvariants, FailedQueryEndsInFailedDeliverSpan) {
     if ((tree.spans.back().flags & trace::kFlagFailed) != 0) ++failedSpans;
   }
   EXPECT_EQ(failedSpans, 1);  // exactly the poisoned query, nothing else
+}
+
+TEST(TraceInvariants, PlanShapeMarksFellBackProjectionsInLowerCase) {
+  // A folded projection that fell back, a cached one that did not, and a
+  // remainder; the fell-back flag rides on the PROJECT span's end event.
+  const auto ev = [](double ts, trace::EventType type, trace::SpanKind kind,
+                     std::uint64_t value, std::uint8_t depth,
+                     std::uint8_t flags) {
+    trace::Event e;
+    e.ts = ts;
+    e.queryId = 7;
+    e.value = value;
+    e.type = type;
+    e.kind = static_cast<std::uint8_t>(kind);
+    e.depth = depth;
+    e.flags = flags;
+    return e;
+  };
+  using trace::EventType;
+  using trace::SpanKind;
+  const std::uint8_t fold = trace::kFlagFoldSource;
+  const std::uint8_t cached = trace::kFlagCachedSource;
+  const std::vector<trace::Event> events = {
+      ev(1, EventType::SpanBegin, SpanKind::Project, 64, 0, fold),
+      ev(2, EventType::SpanBegin, SpanKind::Plan, 0, 1, 0),
+      ev(3, EventType::SpanEnd, SpanKind::Plan, 0, 1, 0),
+      ev(4, EventType::SpanBegin, SpanKind::Compute, 0, 1, 0),
+      ev(5, EventType::SpanEnd, SpanKind::Compute, 0, 1, 0),
+      ev(6, EventType::SpanEnd, SpanKind::Project, 64,  0,
+         fold | trace::kFlagFellBack),
+      ev(7, EventType::SpanBegin, SpanKind::Project, 32, 0, cached),
+      ev(8, EventType::SpanEnd, SpanKind::Project, 32, 0, cached),
+      ev(9, EventType::SpanBegin, SpanKind::Compute, 16, 0, 0),
+      ev(10, EventType::SpanEnd, SpanKind::Compute, 16, 0, 0),
+  };
+  EXPECT_EQ(trace::planShapeOf(events), "f64|C32|R");
 }
 
 TEST(TraceInvariants, CountersFlowFromBothSubstrates) {

@@ -24,10 +24,8 @@
 //                     *different* mutex) made while a shard-leaf rank
 //                     (>= --blocking-min-rank, default 44) is held.
 //
-// Frontends: a built-in C++ lexer (always available, zero dependencies)
-// or, when CMake finds the Clang development libraries, the real
-// clang::Lexer / JSONCompilationDatabase (MQS_ANALYZE_HAVE_CLANG). Both
-// feed the same token stream into the same analysis core.
+// Frontend: a built-in C++ lexer with zero dependencies feeds the token
+// stream into the analysis core.
 #pragma once
 
 #include <cstdint>
@@ -58,16 +56,9 @@ struct LexedFile {
   std::unordered_map<int, std::string> comments;
 };
 
-/// Built-in frontend: lex `text` (C++ source) into tokens, skipping
-/// preprocessor directives and recording comment text per line.
+/// Lex `text` (C++ source) into tokens, skipping preprocessor directives
+/// and recording comment text per line.
 LexedFile lexSource(const std::string& path, const std::string& text);
-
-#if defined(MQS_ANALYZE_HAVE_CLANG)
-/// Clang frontend: same contract, tokens produced by clang::Lexer.
-LexedFile lexSourceClang(const std::string& path, const std::string& text);
-/// Load TU paths via clang::tooling::JSONCompilationDatabase.
-std::vector<std::string> compileCommandsFilesClang(const std::string& dbPath);
-#endif
 
 /// Load TU paths from a compile_commands.json (built-in minimal parser).
 std::vector<std::string> compileCommandsFiles(const std::string& dbPath);

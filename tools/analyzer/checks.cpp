@@ -623,8 +623,9 @@ class BodyWalker {
       const std::string rec =
           recvType.empty() ? std::string()
                            : res_.recordOfType(recvType, fn_.record);
-      if (!rec.empty() && !heldNow().empty())
+      if (!rec.empty()) {
         fn_.calls.push_back({rec + "::" + name, heldNow(), line});
+      }
       return;
     }
 
@@ -651,13 +652,13 @@ class BodyWalker {
     while (!ctx.empty()) {
       const std::string key = ctx + "::" + name;
       if (funcKeyExists(key)) {
-        if (!heldNow().empty()) fn_.calls.push_back({key, heldNow(), line});
+        fn_.calls.push_back({key, heldNow(), line});
         return;
       }
       ctx = parentScope(ctx);
     }
     if (const std::string key = uniqueFuncSuffix(name); !key.empty()) {
-      if (!heldNow().empty()) fn_.calls.push_back({key, heldNow(), line});
+      fn_.calls.push_back({key, heldNow(), line});
     }
   }
 

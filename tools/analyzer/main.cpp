@@ -1,9 +1,8 @@
 // mqs-analyze entry point: file gathering (compile_commands.json + header
-// scan), frontend selection, check orchestration, fragment/merge, baseline
-// application, lockgraph.json emission, and the fixtures self-test.
+// scan), check orchestration, fragment/merge, baseline application,
+// lockgraph.json emission, and the fixtures self-test.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -31,7 +30,6 @@ struct Options {
   bool updateBaseline = false;
   bool selfTest = false;
   bool verbose = false;
-  bool builtinFrontend = false;  // force built-in even with clang libs
   int blockingMinRank = -1;      // -1 = config default
 };
 
@@ -43,7 +41,7 @@ void usage() {
       "                   [--update-baseline] [--lockgraph-out FILE]\n"
       "                   [--fragments-dir DIR] [--config FILE]\n"
       "                   [--filter-prefix P] [--blocking-min-rank N]\n"
-      "                   [--frontend builtin] [-v]\n"
+      "                   [-v]\n"
       "       mqs-analyze --self-test --fixtures DIR\n");
 }
 
@@ -93,10 +91,6 @@ bool parseArgs(int argc, char** argv, Options* opt) {
       const char* v = next();
       if (v == nullptr) return false;
       opt->blockingMinRank = std::atoi(v);
-    } else if (a == "--frontend") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      opt->builtinFrontend = std::strcmp(v, "builtin") == 0;
     } else if (a == "--update-baseline") {
       opt->updateBaseline = true;
     } else if (a == "--self-test") {
@@ -145,16 +139,7 @@ std::vector<std::string> gatherFiles(const Options& opt) {
     else if (isSourceExt(p)) sources.insert(rel);
   };
   if (!opt.db.empty()) {
-    std::vector<std::string> tus;
-#if defined(MQS_ANALYZE_HAVE_CLANG)
-    if (!opt.builtinFrontend)
-      tus = compileCommandsFilesClang(opt.db);
-    else
-      tus = compileCommandsFiles(opt.db);
-#else
-    tus = compileCommandsFiles(opt.db);
-#endif
-    for (const auto& tu : tus) {
+    for (const auto& tu : compileCommandsFiles(opt.db)) {
       const std::string rel = relToCwd(tu);
       if (!opt.filterPrefix.empty() && rel.rfind(opt.filterPrefix, 0) != 0)
         continue;
@@ -171,16 +156,6 @@ std::vector<std::string> gatherFiles(const Options& opt) {
   std::vector<std::string> out(headers.begin(), headers.end());
   out.insert(out.end(), sources.begin(), sources.end());
   return out;
-}
-
-LexedFile lexOne(const Options& opt, const std::string& path) {
-  const std::string text = readFileOrDie(path);
-#if defined(MQS_ANALYZE_HAVE_CLANG)
-  if (!opt.builtinFrontend) return lexSourceClang(path, text);
-#else
-  (void)opt;
-#endif
-  return lexSource(path, text);
 }
 
 struct Analysis {
@@ -205,7 +180,9 @@ Analysis runAnalysis(const Options& opt, const Config& cfg) {
     std::exit(2);
   }
   an.files.reserve(paths.size());
-  for (const auto& p : paths) an.files.push_back(lexOne(opt, p));
+  for (const auto& p : paths) {
+    an.files.push_back(lexSource(p, readFileOrDie(p)));
+  }
   for (const auto& f : an.files) parseFile(f, an.prog);
   analyzeBodies(an.files, an.prog, cfg);
 
