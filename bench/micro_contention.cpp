@@ -1,6 +1,7 @@
-// Lock-contention microbenchmark: hot-hit throughput of the sharded Data
-// Store and Page Space Manager against the single-lock (shards = 1)
-// configuration, swept over worker-thread counts 1 -> 128 (DESIGN.md §10).
+// Lock-contention microbenchmark: hot-hit throughput of the sharded Page
+// Space Manager against its single-lock (shards = 1) configuration, and of
+// the Data Store's one lock as a headroom figure, swept over worker-thread
+// counts 1 -> 128 (DESIGN.md §10).
 //
 //   micro_contention [--threads 1,2,4,8,16,32,64,128] [--shards 16]
 //                    [--ops 200000] [--trials 3] [--pages 256] [--blobs 256]
@@ -15,12 +16,14 @@
 // the contended-acquisition counts from mqs::lockstats (the same counters
 // the server emits as LOCK_WAIT_* trace events).
 //
-// --smoke runs only the 8-thread PS point (sharded vs single lock) and
-// exits nonzero if sharding falls behind the single lock beyond noise;
-// the CI matrices run it as a guardrail test.
+// --smoke runs only the 8-thread PS point, alternating single-lock and
+// sharded trials (ABAB...) so host load hits both alike, and exits nonzero
+// if the best sharded trial falls behind the best single-lock trial beyond
+// noise; the CI matrices run it as a guardrail test.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <iostream>
 #include <thread>
 #include <vector>
@@ -43,22 +46,25 @@ struct RunResult {
   std::uint64_t contended = 0;  ///< blocked lock acquisitions during the run
 };
 
-std::uint64_t contendedSum(lockorder::Rank shardRank, lockorder::Rank bigRank) {
-  return lockstats::countsFor(shardRank).contended +
-         lockstats::countsFor(bigRank).contended;
+std::uint64_t contendedSum(std::initializer_list<lockorder::Rank> ranks) {
+  std::uint64_t total = 0;
+  for (const lockorder::Rank rank : ranks) {
+    total += lockstats::countsFor(rank).contended;
+  }
+  return total;
 }
 
 /// Run `totalOps` calls of op(threadIndex, i) split over `threads` threads,
 /// all released together off a spin barrier; returns hot-op throughput and
-/// the contended-acquisition delta on the subsystem's two lock ranks.
+/// the contended-acquisition delta on the subsystem's lock ranks.
 template <typename Op>
 RunResult hammer(int threads, std::uint64_t totalOps,
-                 lockorder::Rank shardRank, lockorder::Rank bigRank, Op op) {
+                 std::initializer_list<lockorder::Rank> ranks, Op op) {
   const std::uint64_t per =
       std::max<std::uint64_t>(1, totalOps / static_cast<std::uint64_t>(threads));
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
-  const std::uint64_t before = contendedSum(shardRank, bigRank);
+  const std::uint64_t before = contendedSum(ranks);
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
@@ -79,7 +85,7 @@ RunResult hammer(int threads, std::uint64_t totalOps,
           .count();
   RunResult r;
   r.opsPerSec = static_cast<double>(per) * threads / wall;
-  r.contended = contendedSum(shardRank, bigRank) - before;
+  r.contended = contendedSum(ranks) - before;
   return r;
 }
 
@@ -107,8 +113,9 @@ RunResult runPs(int threads, int shards, std::uint64_t totalOps, int pages,
     std::atomic<std::uint64_t> sink{0};
     const std::uint64_t nPages = layout.chunkCount();
     RunResult r = hammer(
-        threads, totalOps, lockorder::Rank::kPageSpaceShard,
-        lockorder::Rank::kPageSpace, [&](std::uint64_t t, std::uint64_t i) {
+        threads, totalOps,
+        {lockorder::Rank::kPageSpaceShard, lockorder::Rank::kPageSpace},
+        [&](std::uint64_t t, std::uint64_t i) {
           const storage::PageKey key{0, mix(t, i) % nPages};
           sink.fetch_add(ps.fetch(key)->size(), std::memory_order_relaxed);
         });
@@ -117,17 +124,15 @@ RunResult runPs(int threads, int shards, std::uint64_t totalOps, int pages,
   return best;
 }
 
-/// Data Store hot hits: noteReuse() recency touches of resident blobs
-/// (ids hash across shards; no lookup scan, no eviction).
-RunResult runDs(int threads, int shards, std::uint64_t totalOps, int blobs,
-                int trials) {
+/// Data Store hot hits: noteReuse() recency touches of resident blobs (no
+/// lookup scan, no eviction) on the store's one lock.
+RunResult runDs(int threads, std::uint64_t totalOps, int blobs, int trials) {
   vm::VMSemantics sem;
   const storage::DatasetId dataset =
       sem.addDataset(index::ChunkLayout(8192, 8192, 64));
   RunResult best;
   for (int trial = 0; trial < trials; ++trial) {
-    datastore::DataStore ds(1ULL << 30, &sem, datastore::EvictionPolicy::Lru,
-                            shards);
+    datastore::DataStore ds(1ULL << 30, &sem);
     std::vector<datastore::BlobId> ids;
     for (int b = 0; b < blobs; ++b) {
       auto pred = std::make_unique<vm::VMPredicate>(
@@ -138,8 +143,8 @@ RunResult runDs(int threads, int shards, std::uint64_t totalOps, int blobs,
       if (id.has_value()) ids.push_back(*id);
     }
     RunResult r = hammer(
-        threads, totalOps, lockorder::Rank::kDataStoreShard,
-        lockorder::Rank::kDataStore, [&](std::uint64_t t, std::uint64_t i) {
+        threads, totalOps, {lockorder::Rank::kDataStore},
+        [&](std::uint64_t t, std::uint64_t i) {
           ds.noteReuse(ids[mix(t, i) % ids.size()], 1.0);
         });
     if (r.opsPerSec > best.opsPerSec) best = r;
@@ -164,10 +169,16 @@ int main(int argc, char** argv) {
   if (opts.getBool("smoke", false)) {
     // Guardrail, not a speedup assertion: on a loaded or single-core CI
     // box the sharded path must simply not be slower than the single lock
-    // beyond noise (best of `trials`, 15% margin).
+    // beyond noise (best of 5 interleaved trials each, 15% margin).
+    constexpr int kSmokeTrials = 5;
     const int threads = static_cast<int>(opts.getInt("smoke-threads", 8));
-    const RunResult single = runPs(threads, 1, ops, pages, trials);
-    const RunResult sharded = runPs(threads, shards, ops, pages, trials);
+    RunResult single, sharded;
+    for (int trial = 0; trial < kSmokeTrials; ++trial) {
+      const RunResult a = runPs(threads, 1, ops, pages, /*trials=*/1);
+      const RunResult b = runPs(threads, shards, ops, pages, /*trials=*/1);
+      if (a.opsPerSec > single.opsPerSec) single = a;
+      if (b.opsPerSec > sharded.opsPerSec) sharded = b;
+    }
     const double ratio = sharded.opsPerSec / single.opsPerSec;
     std::cout << "# smoke: ps hot-hit @" << threads << " threads: single "
               << formatDouble(mops(single), 3) << " Mops/s (contended "
@@ -183,37 +194,38 @@ int main(int argc, char** argv) {
   }
 
   ctx.printHeader();
-  // The scaling gap is a function of real hardware parallelism: on a
-  // single-core host every thread count serializes and both configs
-  // converge, so record the host width next to the sweep.
-  std::cout << "# host hardware threads: "
-            << std::thread::hardware_concurrency() << "\n\n";
   const auto threadList =
       opts.getIntList("threads", {1, 2, 4, 8, 16, 32, 64, 128});
 
   Table tput("hot_hit_mops");
-  tput.setColumns({"threads", "ps_single", "ps_sharded", "ps_speedup",
-                   "ds_single", "ds_sharded", "ds_speedup"});
+  tput.setColumns(
+      {"threads", "ps_single", "ps_sharded", "ps_speedup", "ds_single"});
   Table cont("contended_acquisitions");
-  cont.setColumns({"threads", "ps_single", "ps_sharded", "ds_single",
-                   "ds_sharded"});
+  cont.setColumns({"threads", "ps_single", "ps_sharded", "ds_single"});
   for (std::int64_t t : threadList) {
     const int threads = static_cast<int>(t);
     const RunResult ps1 = runPs(threads, 1, ops, pages, trials);
     const RunResult psN = runPs(threads, shards, ops, pages, trials);
-    const RunResult ds1 = runDs(threads, 1, ops, blobs, trials);
-    const RunResult dsN = runDs(threads, shards, ops, blobs, trials);
+    const RunResult ds1 = runDs(threads, ops, blobs, trials);
     tput.addRow(std::to_string(threads),
                 {mops(ps1), mops(psN), psN.opsPerSec / ps1.opsPerSec,
-                 mops(ds1), mops(dsN), dsN.opsPerSec / ds1.opsPerSec});
+                 mops(ds1)});
     cont.addRow(std::to_string(threads),
                 {static_cast<double>(ps1.contended),
                  static_cast<double>(psN.contended),
-                 static_cast<double>(ds1.contended),
-                 static_cast<double>(dsN.contended)},
+                 static_cast<double>(ds1.contended)},
                 /*precision=*/0);
   }
   ctx.emit(tput);
   ctx.emit(cont);
+  // The scaling gap is a function of real hardware parallelism: on a
+  // single-core host every thread count serializes and both configs
+  // converge, so the JSON records the host width next to the sweep.
+  Table prov("provenance");
+  prov.setColumns({"host_threads", "ps_shards", "ops", "trials"});
+  prov.addRow({std::to_string(std::thread::hardware_concurrency()),
+               std::to_string(shards), std::to_string(ops),
+               std::to_string(trials)});
+  ctx.emit(prov);
   return 0;
 }

@@ -101,7 +101,7 @@ void BM_DataStoreLookup(benchmark::State& state) {
     (void)ds.insert(std::move(p), {}, bytes);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ds.lookup(*randomPred()));
+    benchmark::DoNotOptimize(ds.lookupTopK(*randomPred(), 1));
   }
 }
 BENCHMARK(BM_DataStoreLookup);

@@ -80,10 +80,12 @@ OVERLOAD_SUITES="arrival_test latency_histogram_test workload_zipf_test \
 # The lock-rank checker and the annotated queue run under both sanitizers:
 # their tests exercise the Mutex/CondVar wrappers every subsystem now uses.
 STATIC_SUITES="lock_order_test queue_pool_test"
-# The sharded-state suite (DESIGN.md §10) runs under both sanitizers too:
-# its randomized multi-threaded tests are the data-race net for the
-# per-shard locking in the Data Store / Page Space Manager.
-SHARD_SUITES="shard_consistency_test"
+# The shared-cache suites (DESIGN.md §10) run under both sanitizers too:
+# their randomized multi-threaded tests are the data-race net for the Data
+# Store's one lock, the Page Space Manager's shard locks, the scheduler's
+# feedback path and the metrics collector.
+SHARD_SUITES="shard_consistency_test data_store_test data_store_property_test \
+  scheduler_test metrics_test"
 # The cost-aware caching / spill-tier suites (DESIGN.md §13): the spill
 # tier owns a background writer thread and the eviction listener crosses
 # the server/scheduler/store lock ranks, so both sanitizers cover them

@@ -44,18 +44,15 @@ enum class Rank : std::uint16_t {
   kNetServer = 10,      ///< net::NetServer::mu_ (connection registry)
   kQueryServer = 20,    ///< server::QueryServer::mu_ (dispatch state)
   kScheduler = 30,      ///< sched::QueryScheduler::mu_ (graph + heap)
-  kDataStoreShard = 38, ///< datastore::DataStore shard locks (blobs + LRU).
-                        ///< A thread holds at most ONE shard at a time (the
-                        ///< budget-rebalance slow path releases its home
-                        ///< shard before reclaiming from another).
-  kDataStore = 40,      ///< datastore::DataStore::mu_ (listener registration)
+  kDataStore = 40,      ///< datastore::DataStore::mu_ (blobs, LRU, budget)
   kSpillTier = 44,      ///< datastore::SpillTier::mu_ (spill metadata + index).
                         ///< Below kDataStore: engines demote under no DS
                         ///< lock, and restore releases the spill lock before
                         ///< re-inserting into the Data Store.
   kPageSpaceShard = 48, ///< pagespace::PageSpaceManager shard locks (cache
-                        ///< maps). Same one-shard-at-a-time discipline as
-                        ///< kDataStoreShard.
+                        ///< maps). A thread holds at most ONE shard at a
+                        ///< time (the budget-rebalance slow path releases
+                        ///< its home shard before reclaiming from another).
   kPageSpace = 50,      ///< pagespace::PageSpaceManager::mu_ (source registry)
   kScanRegistry = 55,   ///< pagespace::ScanRegistry::mu_ (shared-scan table,
                         ///< DESIGN.md §14). A leaf in practice: publish/fail
@@ -66,7 +63,7 @@ enum class Rank : std::uint16_t {
   kStorageFile = 65,    ///< storage::FileSource::ioMutex_ (FILE* serialization)
   kBlockingQueue = 70,  ///< BlockingQueue<T>::mu_ (thread-pool / net queues)
   kLoadgen = 75,        ///< loadgen per-connection state (outstanding map)
-  kMetrics = 80,        ///< metrics::Collector slot locks (record vectors)
+  kMetrics = 80,        ///< metrics::Collector::mu_ (record vector)
   kTraceRegistry = 90,  ///< trace::Tracer::registryMu_ (buffer registry)
   kLogging = 100,       ///< logging sink mutex (innermost: log anywhere)
 };

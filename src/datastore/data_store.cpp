@@ -1,7 +1,6 @@
 #include "datastore/data_store.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 
@@ -10,15 +9,6 @@
 namespace mqs::datastore {
 
 namespace {
-/// Attempts to grow a shard's slice before declaring a blob uncacheable.
-/// Bounded because concurrent inserts can consume borrowed budget between
-/// the unlock and the relock.
-constexpr int kMaxBorrowAttempts = 4;
-
-/// Retries of the multi-shard lookup when the winner is evicted between
-/// the scan and the commit (another thread's insert pressure).
-constexpr int kMaxLookupAttempts = 3;
-
 #if MQS_LOCK_ORDER
 /// Debug reentrancy guard for the eviction-listener contract: set to the
 /// reporting store while its listener runs on this thread; any public
@@ -41,52 +31,22 @@ void DataStore::guardReentry() const {
 
 DataStore::DataStore(std::uint64_t capacityBytes,
                      const query::QuerySemantics* semantics,
-                     EvictionPolicy eviction, int shards)
-    : DataStore(capacityBytes, semantics, makeEvictionRanker(eviction),
-                shards) {}
+                     EvictionPolicy eviction)
+    : DataStore(capacityBytes, semantics, makeEvictionRanker(eviction)) {}
 
 DataStore::DataStore(std::uint64_t capacityBytes,
                      const query::QuerySemantics* semantics,
-                     std::unique_ptr<EvictionRanker> ranker, int shards)
+                     std::unique_ptr<EvictionRanker> ranker)
     : capacity_(capacityBytes), ranker_(std::move(ranker)),
       semantics_(semantics) {
   MQS_CHECK(semantics_ != nullptr);
   MQS_CHECK(ranker_ != nullptr);
-  MQS_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
-                "shard count out of range");
-  const auto n = std::bit_ceil(static_cast<std::size_t>(shards));
-  shardMask_ = n - 1;
-  // Equal slices; the remainder seeds the spare pool so every byte of the
-  // budget is accounted for (sum of slices + spare == capacity).
-  const std::uint64_t slice = capacityBytes / n;
-  spare_.store(capacityBytes - slice * n, std::memory_order_relaxed);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, slice));
-  }
 }
 
 void DataStore::setEvictionListener(
     std::function<void(EvictedBlob)> listener) {
   MutexLock lock(mu_);
   evictionListener_ = std::move(listener);
-}
-
-DataStore::Shard& DataStore::shardFor(const query::Predicate& predicate) const {
-  const Rect b = predicate.boundingBox();
-  // Blobs land on shards by their region: spatially distinct results from
-  // concurrent workloads spread across locks, while an identical region
-  // always rehashes to the same shard.
-  std::uint64_t h = 0;
-  const auto mix = [&h](std::int64_t v) {
-    h ^= static_cast<std::uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-         (h >> 2);
-  };
-  mix(b.x0);
-  mix(b.y0);
-  mix(b.x1);
-  mix(b.y1);
-  return *shards_[h & shardMask_];
 }
 
 void DataStore::reportEvictions(std::vector<EvictedBlob>& evicted) {
@@ -107,43 +67,6 @@ void DataStore::reportEvictions(std::vector<EvictedBlob>& evicted) {
 #endif
 }
 
-std::uint64_t DataStore::takeFromSpare(std::uint64_t want) {
-  std::uint64_t cur = spare_.load(std::memory_order_relaxed);
-  while (cur > 0) {
-    const std::uint64_t take = std::min(cur, want);
-    if (spare_.compare_exchange_weak(cur, cur - take,
-                                     std::memory_order_relaxed)) {
-      return take;
-    }
-  }
-  return 0;
-}
-
-std::uint64_t DataStore::borrowBudget(std::uint64_t want, const Shard& home,
-                                      std::vector<EvictedBlob>& evicted) {
-  std::uint64_t got = takeFromSpare(want);
-  for (const auto& sp : shards_) {
-    if (got >= want) break;
-    Shard& t = *sp;
-    if (&t == &home) continue;
-    MutexLock lock(t.mu);
-    // Global pressure: idle headroom alone may not be enough, so evict
-    // policy-order victims from this shard too — the sharded equivalent
-    // of the single store evicting across its whole population.
-    while (t.capacity - t.resident < want - got) {
-      const BlobId victim = pickVictimLocked(t);
-      if (victim == 0) break;
-      eraseLocked(t, victim, /*countEviction=*/true);
-    }
-    const std::uint64_t take = std::min(t.capacity - t.resident, want - got);
-    t.capacity -= take;
-    got += take;
-    for (auto& e : t.pending) evicted.push_back(std::move(e));
-    t.pending.clear();
-  }
-  return got;
-}
-
 std::optional<BlobId> DataStore::insert(query::PredicatePtr predicate,
                                         std::vector<std::byte> payload,
                                         std::uint64_t logicalBytes,
@@ -157,44 +80,25 @@ std::optional<BlobId> DataStore::insert(query::PredicatePtr predicate,
                            ? tracer_->takeThreadQueryCost()
                            : 0.0;
   }
-  Shard& s = shardFor(*predicate);
   inserts_.fetch_add(1, std::memory_order_relaxed);
   // Blobs evicted to make room; listener runs unlocked.
   std::vector<EvictedBlob> evicted;
   std::optional<BlobId> result;
   if (logicalBytes <= capacity_) {
-    for (int attempt = 0; attempt < kMaxBorrowAttempts; ++attempt) {
-      std::uint64_t deficit = 0;
-      {
-        MutexLock lock(s.mu);
-        if (makeRoomLocked(s, logicalBytes)) {
-          const BlobId id = s.nextSeq++ * shards_.size() + s.index + 1;
-          Blob blob;
-          blob.predicate = std::move(predicate);
-          blob.payload = std::move(payload);
-          blob.logicalBytes = logicalBytes;
-          blob.recomputeCostSec = recomputeCostSec;
-          s.lru.push_front(id);
-          blob.lruIt = s.lru.begin();
-          s.spatial.insert(blob.predicate->boundingBox(), id);
-          s.blobs.emplace(id, std::move(blob));
-          s.resident += logicalBytes;
-          result = id;
-        } else {
-          // Everything still resident is pinned; grow the slice instead.
-          deficit = s.resident + logicalBytes - s.capacity;
-        }
-        for (auto& e : s.pending) evicted.push_back(std::move(e));
-        s.pending.clear();
-      }
-      if (result) break;
-      // Slice too small: rebalance without holding the home shard (the
-      // borrow locks other shards, and two kDataStoreShard locks must
-      // never nest).
-      const std::uint64_t got = borrowBudget(deficit, s, evicted);
-      if (got == 0) break;  // every other byte is pinned or in use
-      MutexLock lock(s.mu);
-      s.capacity += got;
+    MutexLock lock(mu_);
+    if (makeRoomLocked(logicalBytes, evicted)) {
+      const BlobId id = nextId_++;
+      Blob blob;
+      blob.predicate = std::move(predicate);
+      blob.payload = std::move(payload);
+      blob.logicalBytes = logicalBytes;
+      blob.recomputeCostSec = recomputeCostSec;
+      lru_.push_front(id);
+      blob.lruIt = lru_.begin();
+      spatial_.insert(blob.predicate->boundingBox(), id);
+      blobs_.emplace(id, std::move(blob));
+      resident_ += logicalBytes;
+      result = id;
     }
   }
   if (!result) uncacheable_.fetch_add(1, std::memory_order_relaxed);
@@ -202,14 +106,14 @@ std::optional<BlobId> DataStore::insert(query::PredicatePtr predicate,
   return result;
 }
 
-BlobId DataStore::pickVictimLocked(const Shard& s) const {
+BlobId DataStore::pickVictimLocked() const {
   constexpr BlobId kNone = 0;
   if (ranker_->recencyOnly()) {
     // O(1) LRU fast path: the least recently used unpinned blob, no
     // scoring — byte-identical to the historical inline LRU.
-    for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-      const auto bit = s.blobs.find(*it);
-      MQS_DCHECK(bit != s.blobs.end());
+    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+      const auto bit = blobs_.find(*it);
+      MQS_DCHECK(bit != blobs_.end());
       if (bit->second.pins == 0) return *it;
     }
     return kNone;
@@ -219,9 +123,9 @@ BlobId DataStore::pickVictimLocked(const Shard& s) const {
   // to most recent (strict < keeps the earlier = less recent candidate).
   BlobId best = kNone;
   double bestScore = 0.0;
-  for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-    const auto bit = s.blobs.find(*it);
-    MQS_DCHECK(bit != s.blobs.end());
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    const auto bit = blobs_.find(*it);
+    MQS_DCHECK(bit != blobs_.end());
     const Blob& blob = bit->second;
     if (blob.pins > 0) continue;
     const double score = ranker_->victimScore(
@@ -234,26 +138,24 @@ BlobId DataStore::pickVictimLocked(const Shard& s) const {
   return best;
 }
 
-bool DataStore::makeRoomLocked(Shard& s, std::uint64_t need) {
-  // A blob larger than the whole slice can never fit here: skip straight
-  // to the budget borrow instead of draining the shard for nothing.
-  if (need > s.capacity) return false;
-  while (s.resident + need > s.capacity) {
-    const BlobId victim = pickVictimLocked(s);
-    if (victim == 0) return false;  // everything pinned (or shard empty)
-    eraseLocked(s, victim, /*countEviction=*/true);
+bool DataStore::makeRoomLocked(std::uint64_t need,
+                               std::vector<EvictedBlob>& evicted) {
+  while (resident_ + need > capacity_) {
+    const BlobId victim = pickVictimLocked();
+    if (victim == 0) return false;  // everything pinned (or store empty)
+    eraseLocked(victim, /*countEviction=*/true, evicted);
   }
   return true;
 }
 
-void DataStore::eraseLocked(Shard& s, BlobId id, bool countEviction) {
-  auto it = s.blobs.find(id);
-  if (it == s.blobs.end()) return;
+void DataStore::eraseLocked(BlobId id, bool countEviction,
+                            std::vector<EvictedBlob>& evicted) {
+  auto it = blobs_.find(id);
+  if (it == blobs_.end()) return;
   MQS_CHECK_MSG(it->second.pins == 0, "evicting a pinned blob");
-  s.resident -= it->second.logicalBytes;
-  s.lru.erase(it->second.lruIt);
-  const bool erased =
-      s.spatial.erase(it->second.predicate->boundingBox(), id);
+  resident_ -= it->second.logicalBytes;
+  lru_.erase(it->second.lruIt);
+  const bool erased = spatial_.erase(it->second.predicate->boundingBox(), id);
   MQS_DCHECK(erased);
   (void)erased;
   if (countEviction) {
@@ -262,109 +164,11 @@ void DataStore::eraseLocked(Shard& s, BlobId id, bool countEviction) {
   }
   // The blob's state moves out with the eviction so the listener can
   // demote it to the spill tier without calling back in.
-  s.pending.push_back(EvictedBlob{id, std::move(it->second.predicate),
-                                  std::move(it->second.payload),
-                                  it->second.logicalBytes,
-                                  it->second.recomputeCostSec});
-  s.blobs.erase(it);
-}
-
-std::optional<DataStore::Match> DataStore::lookup(const query::Predicate& q,
-                                                  double minOverlap) {
-  return lookupImpl(q, minOverlap, /*pin=*/false);
-}
-
-std::optional<DataStore::Match> DataStore::lookupAndPin(
-    const query::Predicate& q, double minOverlap) {
-  return lookupImpl(q, minOverlap, /*pin=*/true);
-}
-
-std::optional<DataStore::Match> DataStore::scanShardLocked(
-    const Shard& s, const query::Predicate& q, double minOverlap) const {
-  BlobId bestId = 0;
-  double bestOverlap = minOverlap;
-  bool found = false;
-  // Candidate generation goes through the R-tree: overlap needs
-  // intersecting bounding boxes, so only spatial matches are scored.
-  s.spatial.queryIntersecting(
-      q.boundingBox(), [&](const Rect&, std::uint64_t id) {
-        const auto it = s.blobs.find(id);
-        MQS_DCHECK(it != s.blobs.end());
-        const double ov = semantics_->overlap(*it->second.predicate, q);
-        if (ov > bestOverlap) {
-          bestOverlap = ov;
-          bestId = id;
-          found = true;
-        }
-      });
-#ifndef NDEBUG
-  // Debug cross-check: the linear scan over the shard's blobs must agree
-  // with the R-tree candidate path (an overlap > 0 implies intersecting
-  // bounding boxes, so the spatial pre-filter may never lose a match).
-  double linearBest = minOverlap;
-  for (const auto& [id, blob] : s.blobs) {
-    linearBest = std::max(linearBest, semantics_->overlap(*blob.predicate, q));
-  }
-  MQS_DCHECK(linearBest == bestOverlap);
-#endif
-  if (!found) return std::nullopt;
-  return Match{bestId, bestOverlap};
-}
-
-void DataStore::commitHitLocked(Shard& s, BlobId id, double overlap,
-                                bool pinMatch) {
-  auto it = s.blobs.find(id);
-  MQS_DCHECK(it != s.blobs.end());
-  s.lru.splice(s.lru.begin(), s.lru, it->second.lruIt);
-  ++it->second.uses;
-  if (pinMatch) ++it->second.pins;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  if (overlap >= 1.0) fullHits_.fetch_add(1, std::memory_order_relaxed);
-  if (tracer_ != nullptr) tracer_->counter(trace::CounterKind::DsHit);
-}
-
-std::optional<DataStore::Match> DataStore::lookupImpl(
-    const query::Predicate& q, double minOverlap, bool pinMatch) {
-  guardReentry();
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  if (shards_.size() == 1) {
-    // Single-shard fast path: scan and commit under one lock hold, exactly
-    // the pre-shard store.
-    Shard& s = *shards_[0];
-    MutexLock lock(s.mu);
-    const auto m = scanShardLocked(s, q, minOverlap);
-    if (!m) {
-      if (tracer_ != nullptr) tracer_->counter(trace::CounterKind::DsMiss);
-      return std::nullopt;
-    }
-    commitHitLocked(s, m->id, m->overlap, pinMatch);
-    return m;
-  }
-  // Multi-shard: scan shards one at a time (raising the floor to the best
-  // seen, so ties break toward the earlier shard), then commit the winner
-  // under its home lock. The winner can be evicted between the scan and
-  // the commit; rescan — a later round sees the next-best blob.
-  for (int attempt = 0; attempt < kMaxLookupAttempts; ++attempt) {
-    std::optional<Match> best;
-    Shard* home = nullptr;
-    for (const auto& sp : shards_) {
-      Shard& s = *sp;
-      MutexLock lock(s.mu);
-      const auto m = scanShardLocked(s, q, best ? best->overlap : minOverlap);
-      if (m) {
-        best = m;
-        home = &s;
-      }
-    }
-    if (!best) break;
-    MutexLock lock(home->mu);
-    if (home->blobs.contains(best->id)) {
-      commitHitLocked(*home, best->id, best->overlap, pinMatch);
-      return best;
-    }
-  }
-  if (tracer_ != nullptr) tracer_->counter(trace::CounterKind::DsMiss);
-  return std::nullopt;
+  evicted.push_back(EvictedBlob{id, std::move(it->second.predicate),
+                                std::move(it->second.payload),
+                                it->second.logicalBytes,
+                                it->second.recomputeCostSec});
+  blobs_.erase(it);
 }
 
 std::vector<DataStore::Match> DataStore::lookupTopK(const query::Predicate& q,
@@ -374,27 +178,28 @@ std::vector<DataStore::Match> DataStore::lookupTopK(const query::Predicate& q,
   lookups_.fetch_add(1, std::memory_order_relaxed);
   if (k == 0) return {};
   std::vector<Match> matches;
-  for (const auto& sp : shards_) {
-    const Shard& s = *sp;
-    MutexLock lock(s.mu);
-    [[maybe_unused]] const std::size_t first = matches.size();
-    s.spatial.queryIntersecting(
+  {
+    MutexLock lock(mu_);
+    // Candidate generation goes through the R-tree: overlap needs
+    // intersecting bounding boxes, so only spatial matches are scored.
+    spatial_.queryIntersecting(
         q.boundingBox(), [&](const Rect&, std::uint64_t id) {
-          const auto it = s.blobs.find(id);
-          MQS_DCHECK(it != s.blobs.end());
+          const auto it = blobs_.find(id);
+          MQS_DCHECK(it != blobs_.end());
           const double ov = semantics_->overlap(*it->second.predicate, q);
           if (ov > minOverlap) matches.push_back(Match{id, ov});
         });
 #ifndef NDEBUG
+    // Debug cross-check: the linear scan over every blob must agree with
+    // the R-tree candidate path (an overlap > 0 implies intersecting
+    // bounding boxes, so the spatial pre-filter may never lose a match).
     double linearBest = minOverlap;
-    for (const auto& [id, blob] : s.blobs) {
+    for (const auto& [id, blob] : blobs_) {
       linearBest =
           std::max(linearBest, semantics_->overlap(*blob.predicate, q));
     }
     double rtreeBest = minOverlap;
-    for (std::size_t i = first; i < matches.size(); ++i) {
-      rtreeBest = std::max(rtreeBest, matches[i].overlap);
-    }
+    for (const Match& m : matches) rtreeBest = std::max(rtreeBest, m.overlap);
     MQS_DCHECK(linearBest == rtreeBest);
 #endif
   }
@@ -411,11 +216,10 @@ std::vector<DataStore::Match> DataStore::lookupTopK(const query::Predicate& q,
 
 void DataStore::noteReuse(BlobId id, double overlap) {
   guardReentry();
-  Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  auto it = s.blobs.find(id);
-  if (it == s.blobs.end()) return;
-  s.lru.splice(s.lru.begin(), s.lru, it->second.lruIt);
+  MutexLock lock(mu_);
+  auto it = blobs_.find(id);
+  if (it == blobs_.end()) return;
+  lru_.splice(lru_.begin(), lru_, it->second.lruIt);
   ++it->second.uses;
   hits_.fetch_add(1, std::memory_order_relaxed);
   if (overlap >= 1.0) fullHits_.fetch_add(1, std::memory_order_relaxed);
@@ -423,72 +227,63 @@ void DataStore::noteReuse(BlobId id, double overlap) {
 }
 
 bool DataStore::contains(BlobId id) const {
-  const Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  return s.blobs.contains(id);
+  MutexLock lock(mu_);
+  return blobs_.contains(id);
 }
 
 const query::Predicate& DataStore::predicate(BlobId id) const {
-  const Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  auto it = s.blobs.find(id);
-  MQS_CHECK_MSG(it != s.blobs.end(), "predicate() of absent blob");
+  MutexLock lock(mu_);
+  auto it = blobs_.find(id);
+  MQS_CHECK_MSG(it != blobs_.end(), "predicate() of absent blob");
   return *it->second.predicate;
 }
 
 double DataStore::recomputeCost(BlobId id) const {
-  const Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  auto it = s.blobs.find(id);
-  MQS_CHECK_MSG(it != s.blobs.end(), "recomputeCost() of absent blob");
+  MutexLock lock(mu_);
+  auto it = blobs_.find(id);
+  MQS_CHECK_MSG(it != blobs_.end(), "recomputeCost() of absent blob");
   return it->second.recomputeCostSec;
 }
 
 std::span<const std::byte> DataStore::payload(BlobId id) const {
-  const Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  auto it = s.blobs.find(id);
-  MQS_CHECK_MSG(it != s.blobs.end(), "payload() of absent blob");
+  MutexLock lock(mu_);
+  auto it = blobs_.find(id);
+  MQS_CHECK_MSG(it != blobs_.end(), "payload() of absent blob");
   return it->second.payload;
 }
 
 void DataStore::pin(BlobId id) {
   guardReentry();
-  Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  auto it = s.blobs.find(id);
-  MQS_CHECK_MSG(it != s.blobs.end(), "pin() of absent blob");
+  MutexLock lock(mu_);
+  auto it = blobs_.find(id);
+  MQS_CHECK_MSG(it != blobs_.end(), "pin() of absent blob");
   ++it->second.pins;
 }
 
 bool DataStore::tryPin(BlobId id) {
   guardReentry();
-  Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  auto it = s.blobs.find(id);
-  if (it == s.blobs.end()) return false;
+  MutexLock lock(mu_);
+  auto it = blobs_.find(id);
+  if (it == blobs_.end()) return false;
   ++it->second.pins;
   return true;
 }
 
 void DataStore::unpin(BlobId id) {
   guardReentry();
-  Shard& s = shardOf(id);
-  MutexLock lock(s.mu);
-  auto it = s.blobs.find(id);
-  MQS_CHECK_MSG(it != s.blobs.end(), "unpin() of absent blob");
+  MutexLock lock(mu_);
+  auto it = blobs_.find(id);
+  MQS_CHECK_MSG(it != blobs_.end(), "unpin() of absent blob");
   MQS_CHECK_MSG(it->second.pins > 0, "unbalanced unpin");
   --it->second.pins;
 }
 
 void DataStore::erase(BlobId id) {
   guardReentry();
-  Shard& s = shardOf(id);
   std::vector<EvictedBlob> evicted;
   {
-    MutexLock lock(s.mu);
-    eraseLocked(s, id, /*countEviction=*/false);
-    evicted.swap(s.pending);
+    MutexLock lock(mu_);
+    eraseLocked(id, /*countEviction=*/false, evicted);
   }
   reportEvictions(evicted);
 }
@@ -505,41 +300,20 @@ DataStore::Stats DataStore::stats() const {
 }
 
 std::uint64_t DataStore::residentBytes() const {
-  std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    total += sp->resident;
-  }
-  return total;
+  MutexLock lock(mu_);
+  return resident_;
 }
 
 std::size_t DataStore::residentBlobs() const {
-  std::size_t total = 0;
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    total += sp->blobs.size();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return blobs_.size();
 }
 
 std::size_t DataStore::pinnedBlobs() const {
-  std::size_t total = 0;
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    for (const auto& [id, blob] : sp->blobs) {
-      if (blob.pins > 0) ++total;
-    }
-  }
-  return total;
-}
-
-std::uint64_t DataStore::budgetAccountedBytes() const {
-  std::uint64_t total = spare_.load(std::memory_order_relaxed);
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    total += sp->capacity;
-  }
-  return total;
+  MutexLock lock(mu_);
+  return static_cast<std::size_t>(
+      std::count_if(blobs_.begin(), blobs_.end(),
+                    [](const auto& kv) { return kv.second.pins > 0; }));
 }
 
 }  // namespace mqs::datastore

@@ -2,8 +2,9 @@
 // semantic metadata.
 //
 // Each blob is a query result (or sub-query result) annotated with its
-// predicate. lookup() implements the system's reuse test: find the resident
-// blob whose user-defined overlap with the incoming query is highest.
+// predicate. lookupTopK() implements the system's reuse test: find the
+// resident blobs whose user-defined overlap with the incoming query is
+// highest.
 // Blobs are evicted under a byte budget by a pluggable EvictionRanker
 // (LRU by default; see eviction_ranker.hpp); each eviction is reported to
 // a listener carrying the blob's predicate, payload, and traced recompute
@@ -14,16 +15,9 @@
 // engine — which stores no payloads — sees exactly the same residency
 // behaviour as the threaded runtime.
 //
-// Sharding (DESIGN.md §10): the store is split into N power-of-two shards
-// keyed by the hash of a blob's bounding box, each with its own lock (rank
-// kDataStoreShard), recency list, R-tree, and budget slice, so inserts and
-// lookups from different query threads do not serialize on one mutex. Blob
-// ids encode their shard (id - 1 mod N), making every by-id operation a
-// single-shard lock. Semantic lookups scan shards one at a time and commit
-// the winner under its home shard's lock. The byte budget rebalances
-// between slices through an atomic spare pool plus a borrow slow path that
-// never holds two shard locks. shards == 1 (the default) reproduces the
-// single-lock store byte for byte, including blob-id assignment.
+// One lock (rank kDataStore) guards the recency list, the blob table, the
+// R-tree and the byte budget; blob ids are the dense sequence 1, 2, 3, ...
+// (DESIGN.md §10 explains why the store is not sharded).
 #pragma once
 
 #include <atomic>
@@ -62,18 +56,15 @@ struct EvictedBlob {
 
 class DataStore {
  public:
-  /// Upper bound on the shard count (rounded up to a power of two).
-  static constexpr int kMaxShards = 256;
-
-  /// `semantics` provides the user-defined overlap operator used by lookup.
-  /// `shards` is rounded up to the next power of two (1..kMaxShards).
+  /// `semantics` provides the user-defined overlap operator used by
+  /// lookupTopK.
   DataStore(std::uint64_t capacityBytes, const query::QuerySemantics* semantics,
-            EvictionPolicy eviction = EvictionPolicy::Lru, int shards = 1);
+            EvictionPolicy eviction = EvictionPolicy::Lru);
 
   /// Pluggable-ranker constructor: identical store, custom victim scoring
   /// (stats()/logs report the policy as CostAware's name).
   DataStore(std::uint64_t capacityBytes, const query::QuerySemantics* semantics,
-            std::unique_ptr<EvictionRanker> ranker, int shards = 1);
+            std::unique_ptr<EvictionRanker> ranker);
 
   /// Called with each evicted blob — predicate, payload, and recompute cost
   /// move out with it so a spill tier can take ownership. Must not call
@@ -82,8 +73,8 @@ class DataStore {
   /// aborts on any store entry from inside the listener.
   void setEvictionListener(std::function<void(EvictedBlob)> listener);
 
-  /// Attach a lifecycle tracer: reuse hits (lookup hit / noteReuse), empty
-  /// lookups, and evictions emit DS_HIT / DS_MISS / DS_EVICT counters. The
+  /// Attach a lifecycle tracer: reuse hits (noteReuse), empty lookups, and
+  /// evictions emit DS_HIT / DS_MISS / DS_EVICT counters. The
   /// tracer must outlive the store.
   void setTracer(trace::Tracer* tracer) { tracer_ = tracer; }
 
@@ -107,26 +98,13 @@ class DataStore {
     double overlap = 0.0;
   };
 
-  /// Best-overlap resident blob for query predicate `q` with overlap
-  /// strictly greater than `minOverlap`. Refreshes the match's LRU
-  /// position. Ties break toward the most recently used blob.
-  [[nodiscard]] std::optional<Match> lookup(const query::Predicate& q,
-                                            double minOverlap = 0.0);
-
-  /// lookup() that atomically pins the match, so concurrent evictions can
-  /// never invalidate the returned blob before the caller reads it. The
-  /// caller must unpin() when done.
-  [[nodiscard]] std::optional<Match> lookupAndPin(const query::Predicate& q,
-                                                  double minOverlap = 0.0);
-
   /// Candidate generation for the multi-source reuse planner: up to `k`
   /// resident blobs with overlap(blob, q) > minOverlap, sorted by overlap
-  /// descending (ties toward the newer blob, matching lookup()'s bias
-  /// toward recent results). Candidates come from the R-tree, so the cost
-  /// is proportional to the spatial matches, not the resident population.
-  /// Unlike lookup(), this does NOT refresh LRU positions or hit counters —
-  /// the planner reports the sources it actually selects via noteReuse().
-  /// Counts one lookup in stats().
+  /// descending (ties toward the newer blob). Candidates come from the
+  /// R-tree, so the cost is proportional to the spatial matches, not the
+  /// resident population. Does NOT refresh LRU positions or hit counters —
+  /// the planner pins the sources it selects with tryPin() and reports
+  /// them via noteReuse(). Counts one lookup in stats().
   [[nodiscard]] std::vector<Match> lookupTopK(const query::Predicate& q,
                                               std::size_t k,
                                               double minOverlap = 0.0);
@@ -156,7 +134,7 @@ class DataStore {
   bool tryPin(BlobId id);
 
   /// RAII unpin: holds one pin on a blob and releases it on destruction
-  /// (exception-safe counterpart to lookupAndPin/tryPin).
+  /// (exception-safe counterpart to tryPin).
   class PinGuard {
    public:
     PinGuard() = default;
@@ -194,7 +172,7 @@ class DataStore {
 
   struct Stats {
     std::uint64_t lookups = 0;
-    std::uint64_t hits = 0;        ///< lookups that found a usable blob
+    std::uint64_t hits = 0;        ///< reuses reported via noteReuse()
     std::uint64_t fullHits = 0;    ///< hits with overlap >= 1
     std::uint64_t inserts = 0;
     std::uint64_t evictions = 0;
@@ -211,89 +189,35 @@ class DataStore {
   /// idle — a positive count then means a leaked PinGuard (soak-test
   /// invariant).
   [[nodiscard]] std::size_t pinnedBlobs() const;
-  /// Number of shards the store is split into (a power of two).
-  [[nodiscard]] int shardCount() const {
-    return static_cast<int>(shards_.size());
-  }
-  /// Sum of the per-shard budget slices plus the spare pool. Equals
-  /// capacityBytes() whenever no budget borrow is mid-flight — the
-  /// conservation invariant the shard tests assert at quiescence.
-  [[nodiscard]] std::uint64_t budgetAccountedBytes() const;
 
  private:
   struct Blob {
     query::PredicatePtr predicate;
     std::vector<std::byte> payload;
     std::uint64_t logicalBytes = 0;
-    std::uint64_t uses = 0;  ///< lookup hits (LFU / CostAware weight)
+    std::uint64_t uses = 0;  ///< noteReuse() count (LFU / CostAware weight)
     double recomputeCostSec = 0.0;  ///< traced insert-time recompute cost
     int pins = 0;
     std::list<BlobId>::iterator lruIt;
   };
 
-  /// One slice of the store: recency list, blob table, and spatial index
-  /// for the blobs homed here, under the shard's own lock. A thread holds
-  /// at most one shard lock at a time (equal ranks — the debug checker
-  /// aborts on nesting).
-  struct Shard {
-    Shard(std::size_t idx, std::uint64_t sliceBytes)
-        : index(idx), capacity(sliceBytes) {}
-
-    const std::size_t index;  ///< position in shards_ (encoded into ids)
-    mutable Mutex mu{lockorder::Rank::kDataStoreShard, "DataStore::Shard::mu"};
-    std::uint64_t capacity GUARDED_BY(mu);  ///< this shard's budget slice
-    std::uint64_t resident GUARDED_BY(mu) = 0;
-    std::uint64_t nextSeq GUARDED_BY(mu) = 0;  ///< per-shard id sequence
-    std::list<BlobId> lru GUARDED_BY(mu);      ///< front = most recent
-    std::unordered_map<BlobId, Blob> blobs GUARDED_BY(mu);
-    index::RTree spatial GUARDED_BY(mu);  ///< bounding boxes -> blob ids
-    /// Evictions performed under the lock, drained and reported to the
-    /// listener after unlocking (the listener takes the scheduler lock
-    /// and may hand the blob to the spill tier).
-    std::vector<EvictedBlob> pending GUARDED_BY(mu);
-  };
-
-  /// Ids are seq * shardCount + shardIndex + 1, so the home shard is
-  /// recoverable from the id alone and shards == 1 yields the historical
-  /// dense sequence 1, 2, 3, ...
-  [[nodiscard]] Shard& shardOf(BlobId id) const {
-    return *shards_[(id - 1) & shardMask_];
-  }
-  /// Home shard for a new blob: hash of its predicate's bounding box.
-  [[nodiscard]] Shard& shardFor(const query::Predicate& predicate) const;
-
-  /// Next eviction victim in `s` under the configured ranker, or 0: the
-  /// unpinned blob with the lowest victimScore(), ties toward the LRU end
+  /// Next eviction victim under the configured ranker, or 0: the unpinned
+  /// blob with the lowest victimScore(), ties toward the LRU end
   /// (recency-only rankers short-circuit to the first unpinned tail blob).
-  BlobId pickVictimLocked(const Shard& s) const REQUIRES(s.mu);
+  BlobId pickVictimLocked() const REQUIRES(mu_);
 
-  std::optional<Match> lookupImpl(const query::Predicate& q, double minOverlap,
-                                  bool pinMatch);
-  /// Best strictly-greater-than-`minOverlap` match among `s`'s blobs via
-  /// the shard R-tree (plus the !NDEBUG linear cross-check).
-  std::optional<Match> scanShardLocked(const Shard& s,
-                                       const query::Predicate& q,
-                                       double minOverlap) const REQUIRES(s.mu);
-  /// Commit a lookup hit: LRU refresh, use count, optional pin, counters.
-  void commitHitLocked(Shard& s, BlobId id, double overlap, bool pinMatch)
-      REQUIRES(s.mu);
-
-  /// Evict from `s` (policy order) until `need` bytes fit in its slice;
-  /// returns false if the shard alone cannot make room.
-  bool makeRoomLocked(Shard& s, std::uint64_t need) REQUIRES(s.mu);
-  void eraseLocked(Shard& s, BlobId id, bool countEviction) REQUIRES(s.mu);
-  /// Budget-rebalance slow path: collect up to `want` bytes from the spare
-  /// pool, idle headroom on other shards, and — under global pressure —
-  /// policy-order victims on other shards. Locks one shard at a time;
-  /// `home` must not be locked by the caller. Donor-shard evictions are
-  /// appended to `evicted` for the caller to report once unlocked.
-  std::uint64_t borrowBudget(std::uint64_t want, const Shard& home,
-                             std::vector<EvictedBlob>& evicted);
-  std::uint64_t takeFromSpare(std::uint64_t want);
-  /// Fire the eviction listener for drained evictions (no locks held).
-  /// While the listener runs, the debug reentrancy guard marks this store
-  /// as listener-active for the calling thread; guardReentry() aborts any
-  /// re-entry from inside the callback.
+  /// Evict (policy order) until `need` more bytes fit in the budget;
+  /// returns false if the unpinned blobs cannot make room.
+  bool makeRoomLocked(std::uint64_t need, std::vector<EvictedBlob>& evicted)
+      REQUIRES(mu_);
+  /// Remove a blob, moving its state into `evicted` for the listener.
+  void eraseLocked(BlobId id, bool countEviction,
+                   std::vector<EvictedBlob>& evicted) REQUIRES(mu_);
+  /// Fire the eviction listener for evictions collected under the lock
+  /// (called after unlocking: the listener takes the scheduler lock and may
+  /// hand the blob to the spill tier). While the listener runs, the debug
+  /// reentrancy guard marks this store as listener-active for the calling
+  /// thread; guardReentry() aborts any re-entry from inside the callback.
   void reportEvictions(std::vector<EvictedBlob>& evicted) EXCLUDES(mu_);
   void guardReentry() const;
 
@@ -301,23 +225,19 @@ class DataStore {
   /// installs it before spawning workers); the pointee synchronizes itself.
   trace::Tracer* tracer_ = nullptr;
 
-  const std::uint64_t capacity_;  ///< total budget across all shards
+  const std::uint64_t capacity_;
   const std::unique_ptr<EvictionRanker> ranker_;
   const query::QuerySemantics* semantics_;  ///< immutable after construction
 
   mutable Mutex mu_{lockorder::Rank::kDataStore, "DataStore::mu_"};
   std::function<void(EvictedBlob)> evictionListener_ GUARDED_BY(mu_);
+  std::uint64_t resident_ GUARDED_BY(mu_) = 0;
+  BlobId nextId_ GUARDED_BY(mu_) = 1;
+  std::list<BlobId> lru_ GUARDED_BY(mu_);  ///< front = most recent
+  std::unordered_map<BlobId, Blob> blobs_ GUARDED_BY(mu_);
+  index::RTree spatial_ GUARDED_BY(mu_);  ///< bounding boxes -> blob ids
 
-  /// Immutable after construction (the vector; shard contents are guarded
-  /// by their own locks).
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shardMask_ = 0;  ///< immutable after construction
-  /// Budget bytes not currently assigned to any shard's slice. Invariant:
-  /// sum(shard slices) + spare_ == capacity_ except inside a borrow.
-  std::atomic<std::uint64_t> spare_{0};
-
-  // Hot counters: relaxed atomics so stats() and concurrent operations on
-  // other shards never serialize on a stats lock.
+  // Hot counters: relaxed atomics so stats() never takes the store lock.
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> fullHits_{0};

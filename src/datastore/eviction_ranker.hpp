@@ -2,7 +2,7 @@
 //
 // The replacement policy used to be a hard-coded enum switch inside the
 // store's victim scan; it is now an EvictionRanker strategy object so new
-// policies plug in without touching the shard machinery. The built-in
+// policies plug in without touching the store's bookkeeping. The built-in
 // rankers reproduce the historical policies exactly (byte-identical victim
 // sequences — asserted by tests/datastore/lru_differential_test.cpp),
 // and CostAware implements the benefit metric of "Don't Trash your
@@ -49,7 +49,7 @@ struct BlobView {
 /// Strategy interface: the store evicts the *unpinned* blob with the lowest
 /// victimScore(); score ties keep the least recently used candidate, so
 /// every ranker degrades to LRU when its metric cannot discriminate.
-/// Rankers are stateless and called under a shard lock — implementations
+/// Rankers are stateless and called under the store lock — implementations
 /// must not block or call back into the store.
 class EvictionRanker {
  public:

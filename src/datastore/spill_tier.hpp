@@ -20,9 +20,9 @@
 //     and the directory (if created here) are removed on destruction.
 //
 // Concurrency: one mutex (rank kSpillTier = 44, between the Data Store
-// residual lock and the Page Space shards) guards metadata, the FIFO drop
-// order, and the spatial index. Restore copies the entry out and releases
-// the lock before any Data Store re-insert, so the 44 → 38 inversion can
+// lock and the Page Space shards) guards metadata, the FIFO drop order,
+// and the spatial index. Restore copies the entry out and releases the
+// lock before any Data Store re-insert, so the 44 → 40 inversion can
 // never occur.
 #pragma once
 

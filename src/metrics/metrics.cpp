@@ -8,37 +8,18 @@
 namespace mqs::metrics {
 
 void Collector::add(QueryRecord record) {
-  // Consecutive tickets land on different slots, so even adds arriving
-  // back to back from different threads take different locks.
-  const std::uint64_t ticket =
-      ticket_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket & (kSlots - 1)];
-  MutexLock lock(slot.mu);
-  slot.records.emplace_back(ticket, std::move(record));
+  MutexLock lock(mu_);
+  records_.push_back(std::move(record));
 }
 
 std::vector<QueryRecord> Collector::records() const {
-  std::vector<std::pair<std::uint64_t, QueryRecord>> merged;
-  for (const Slot& slot : slots_) {
-    MutexLock lock(slot.mu);
-    merged.insert(merged.end(), slot.records.begin(), slot.records.end());
-  }
-  // Tickets restore the global add order the single-vector collector had.
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<QueryRecord> out;
-  out.reserve(merged.size());
-  for (auto& [ticket, record] : merged) out.push_back(std::move(record));
-  return out;
+  MutexLock lock(mu_);
+  return records_;
 }
 
 std::size_t Collector::count() const {
-  std::size_t total = 0;
-  for (const Slot& slot : slots_) {
-    MutexLock lock(slot.mu);
-    total += slot.records.size();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return records_.size();
 }
 
 Summary summarize(const std::vector<QueryRecord>& records) {

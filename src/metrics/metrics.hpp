@@ -6,7 +6,6 @@
 // the reuse/I/O accounting used by the caching-effect experiment (E1).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -67,13 +66,8 @@ struct QueryRecord {
   [[nodiscard]] double responseTime() const { return finishTime - arrivalTime; }
 };
 
-/// Thread-safe collector; one per experiment run.
-///
-/// Sharded (DESIGN.md §10): records spread across a small fixed set of
-/// slots by an atomic admission ticket, so concurrent query threads
-/// recording results almost never meet on the same lock. The ticket also
-/// preserves global add order — records() merges the slots and sorts by
-/// ticket, so snapshots read exactly like the single-vector collector.
+/// Thread-safe collector; one per experiment run. records() returns the
+/// records in add order.
 class Collector {
  public:
   void add(QueryRecord record);
@@ -82,15 +76,8 @@ class Collector {
   [[nodiscard]] std::size_t count() const;
 
  private:
-  static constexpr std::size_t kSlots = 8;  // power of two
-
-  struct Slot {
-    mutable Mutex mu{lockorder::Rank::kMetrics, "Collector::Slot::mu"};
-    std::vector<std::pair<std::uint64_t, QueryRecord>> records GUARDED_BY(mu);
-  };
-
-  std::atomic<std::uint64_t> ticket_{0};  ///< global add-order sequence
-  Slot slots_[kSlots];
+  mutable Mutex mu_{lockorder::Rank::kMetrics, "Collector::mu_"};
+  std::vector<QueryRecord> records_ GUARDED_BY(mu_);
 };
 
 /// Run-level summary over a set of query records.

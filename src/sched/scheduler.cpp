@@ -42,38 +42,15 @@ void QueryScheduler::afterEventLocked(NodeId n) {
   }
 }
 
-void QueryScheduler::drainFeedbackLocked(const FeedbackEvent* extra) {
-  bool any = false;
-  FeedbackEvent ev;
-  while (feedback_.tryPop(ev)) {
-    switch (ev.kind) {
-      case FeedbackEvent::Kind::Outcome:
-        policy_->onQueryOutcome(ev.value);
-        break;
-      case FeedbackEvent::Kind::Resource:
-        policy_->onResourceSignal(ev.value);
-        break;
-    }
-    any = true;
-  }
-  if (extra != nullptr) {
-    switch (extra->kind) {
-      case FeedbackEvent::Kind::Outcome:
-        policy_->onQueryOutcome(extra->value);
-        break;
-      case FeedbackEvent::Kind::Resource:
-        policy_->onResourceSignal(extra->value);
-        break;
-    }
-    any = true;
-  }
-  // The batching win: one rerank per drained batch, not one per report.
-  if (any && policy_->ranksDependOnFeedback()) rerankAllWaitingLocked();
+void QueryScheduler::rerankAfterFeedbackLocked() {
+  if (!feedbackPending_) return;
+  feedbackPending_ = false;
+  rerankAllWaitingLocked();
 }
 
 NodeId QueryScheduler::submit(query::PredicatePtr predicate) {
   MutexLock lock(mu_);
-  drainFeedbackLocked();
+  rerankAfterFeedbackLocked();
   const NodeId n = graph_.insert(std::move(predicate));
   ++stats_.submitted;
   ++waiting_;
@@ -86,9 +63,8 @@ NodeId QueryScheduler::submit(query::PredicatePtr predicate) {
 
 std::optional<NodeId> QueryScheduler::dequeue() {
   MutexLock lock(mu_);
-  // Apply staged feedback before choosing: the pick must reflect every
-  // report that arrived since the last scheduling event.
-  drainFeedbackLocked();
+  // The pick must reflect every report since the last scheduling event.
+  rerankAfterFeedbackLocked();
   while (!heap_.empty()) {
     const HeapEntry top = heap_.top();
     heap_.pop();
@@ -116,7 +92,7 @@ std::optional<NodeId> QueryScheduler::dequeue() {
 
 void QueryScheduler::completed(NodeId n) {
   MutexLock lock(mu_);
-  drainFeedbackLocked();
+  rerankAfterFeedbackLocked();
   MQS_CHECK_MSG(graph_.contains(n), "completed() on unknown node");
   MQS_CHECK_MSG(graph_.state(n) == QueryState::Executing,
                 "completed() on a non-executing node");
@@ -128,7 +104,7 @@ void QueryScheduler::completed(NodeId n) {
 
 void QueryScheduler::swappedOut(NodeId n) {
   MutexLock lock(mu_);
-  drainFeedbackLocked();
+  rerankAfterFeedbackLocked();
   MQS_CHECK_MSG(graph_.contains(n), "swappedOut() on unknown node");
   MQS_CHECK_MSG(graph_.state(n) == QueryState::Cached,
                 "swappedOut() on a non-cached node");
@@ -141,7 +117,7 @@ void QueryScheduler::swappedOut(NodeId n) {
 
 void QueryScheduler::restored(NodeId n) {
   MutexLock lock(mu_);
-  drainFeedbackLocked();
+  rerankAfterFeedbackLocked();
   MQS_CHECK_MSG(graph_.contains(n), "restored() on unknown node");
   MQS_CHECK_MSG(graph_.state(n) == QueryState::SwappedOut,
                 "restored() on a non-swapped-out node");
@@ -152,7 +128,7 @@ void QueryScheduler::restored(NodeId n) {
 
 void QueryScheduler::noteFold(NodeId subscriber, NodeId owner) {
   MutexLock lock(mu_);
-  drainFeedbackLocked();
+  rerankAfterFeedbackLocked();
   // Tolerant: the fold already happened at the scan registry; if either
   // endpoint has since left the graph there is nothing to annotate.
   if (subscriber == owner) return;
@@ -164,7 +140,7 @@ void QueryScheduler::noteFold(NodeId subscriber, NodeId owner) {
 
 void QueryScheduler::retired(NodeId n) {
   MutexLock lock(mu_);
-  drainFeedbackLocked();
+  rerankAfterFeedbackLocked();
   MQS_CHECK_MSG(graph_.contains(n), "retired() on unknown node");
   const QueryState s = graph_.state(n);
   MQS_CHECK_MSG(s == QueryState::Cached || s == QueryState::SwappedOut,
@@ -194,7 +170,7 @@ void QueryScheduler::retired(NodeId n) {
 
 void QueryScheduler::failed(NodeId n) {
   MutexLock lock(mu_);
-  drainFeedbackLocked();
+  rerankAfterFeedbackLocked();
   MQS_CHECK_MSG(graph_.contains(n), "failed() on unknown node");
   MQS_CHECK_MSG(graph_.state(n) == QueryState::Executing,
                 "failed() on a non-executing node");
@@ -218,19 +194,17 @@ void QueryScheduler::failed(NodeId n) {
 }
 
 void QueryScheduler::reportQueryOutcome(double achievedOverlap) {
-  const FeedbackEvent ev{FeedbackEvent::Kind::Outcome, achievedOverlap};
-  if (feedback_.tryPush(ev)) return;
-  // Ring full: apply the whole backlog (plus this event) inline so no
-  // feedback is ever lost.
+  if (!policy_->ranksDependOnFeedback()) return;
   MutexLock lock(mu_);
-  drainFeedbackLocked(&ev);
+  policy_->onQueryOutcome(achievedOverlap);
+  feedbackPending_ = true;
 }
 
 void QueryScheduler::reportResourceSignal(double ioCongestion) {
-  const FeedbackEvent ev{FeedbackEvent::Kind::Resource, ioCongestion};
-  if (feedback_.tryPush(ev)) return;
+  if (!policy_->ranksDependOnFeedback()) return;
   MutexLock lock(mu_);
-  drainFeedbackLocked(&ev);
+  policy_->onResourceSignal(ioCongestion);
+  feedbackPending_ = true;
 }
 
 std::vector<QueryScheduler::ReuseSource> QueryScheduler::executingSources(
@@ -264,45 +238,6 @@ std::vector<QueryScheduler::ReuseSource> QueryScheduler::executingSources(
   sorted.reserve(sources.size());
   for (const std::size_t i : order) sorted.push_back(sources[i]);
   return sorted;
-}
-
-std::optional<QueryScheduler::ReuseSource> QueryScheduler::bestExecutingSource(
-    NodeId n) const {
-  const std::vector<ReuseSource> sources = executingSources(n);
-  if (sources.empty()) return std::nullopt;
-  return sources.front();
-}
-
-std::optional<QueryScheduler::ReuseSource> QueryScheduler::bestReuseSource(
-    NodeId n, bool allowExecuting) const {
-  MutexLock lock(mu_);
-  if (!graph_.contains(n)) return std::nullopt;
-  const std::uint64_t mySeq = [&] {
-    auto it = rt_.find(n);
-    return it == rt_.end() ? 0ULL : it->second.execSeq;
-  }();
-
-  std::optional<ReuseSource> best;
-  for (const Edge& e : graph_.inEdges(n)) {
-    const QueryState s = graph_.state(e.peer);
-    if (s == QueryState::Cached) {
-      // usable as-is
-    } else if (s == QueryState::Executing && allowExecuting) {
-      // Deadlock avoidance: only wait on queries that started earlier.
-      const auto it = rt_.find(e.peer);
-      const std::uint64_t peerSeq =
-          it == rt_.end() ? 0ULL : it->second.execSeq;
-      if (mySeq == 0 || peerSeq == 0 || peerSeq >= mySeq) continue;
-    } else {
-      continue;
-    }
-    const bool better =
-        !best || e.overlap > best->overlap ||
-        (e.overlap == best->overlap && s == QueryState::Cached &&
-         best->state == QueryState::Executing);
-    if (better) best = ReuseSource{e.peer, e.overlap, s};
-  }
-  return best;
 }
 
 std::optional<QueryState> QueryScheduler::stateOf(NodeId n) const {

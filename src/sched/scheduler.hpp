@@ -21,7 +21,6 @@
 #include "common/thread_annotations.hpp"
 #include "query/predicate.hpp"
 #include "query/semantics.hpp"
-#include "sched/feedback_ring.hpp"
 #include "sched/graph.hpp"
 #include "sched/policy.hpp"
 #include "sched/state.hpp"
@@ -84,15 +83,11 @@ class QueryScheduler {
   void noteFold(NodeId subscriber, NodeId owner);
 
   /// Runtime feedback for self-tuning policies: the achieved Eq.-2 overlap
-  /// of a finished query, and a normalized I/O-congestion signal. No-ops
-  /// for the static policies.
-  ///
-  /// Batched (DESIGN.md §10): the event is staged on a lock-free ring and
-  /// applied — together with everything else staged since — at the next
-  /// scheduling event (submit/dequeue/completed/swappedOut/failed), which
-  /// reranks the waiting set once per batch instead of once per report.
-  /// Only when the ring is full does a report fall back to applying the
-  /// batch inline under the lock; feedback is never dropped.
+  /// of a finished query, and a normalized I/O-congestion signal. Return at
+  /// once (no lock) unless the policy's ranks depend on feedback; otherwise
+  /// the hook is applied under the lock and the waiting set is reranked
+  /// once at the next scheduling event (submit/dequeue/completed/...), so
+  /// a burst of reports costs one rerank, not one per report.
   void reportQueryOutcome(double achievedOverlap);
   void reportResourceSignal(double ioCongestion);
 
@@ -102,23 +97,12 @@ class QueryScheduler {
     QueryState state = QueryState::Cached;
   };
 
-  /// Best reuse source for executing query `n` among CACHED neighbors and —
-  /// when `allowExecuting` — EXECUTING neighbors that began executing
-  /// before `n` (the deadlock-avoidance rule: wait-for edges always point
-  /// to older executions, so the wait graph is acyclic).
-  [[nodiscard]] std::optional<ReuseSource> bestReuseSource(
-      NodeId n, bool allowExecuting) const;
-
-  /// Best reuse source among EXECUTING neighbors only (subject to the same
-  /// deadlock-avoidance rule). The runtime combines this with a Data Store
-  /// lookup, which also sees cached sub-query results that have no graph
-  /// node.
-  [[nodiscard]] std::optional<ReuseSource> bestExecutingSource(NodeId n) const;
-
-  /// ALL eligible EXECUTING reuse sources for `n` (every in-edge peer that
-  /// began executing before `n`, so waiting on any subset keeps the wait
-  /// graph acyclic), sorted by overlap descending with ties toward the
-  /// older execution. Candidate generation for the multi-source planner.
+  /// ALL eligible EXECUTING reuse sources for `n`: every in-edge peer that
+  /// began executing before `n` (the deadlock-avoidance rule: wait-for
+  /// edges always point to older executions, so waiting on any subset
+  /// keeps the wait graph acyclic), sorted by overlap descending with ties
+  /// toward the older execution. Candidate generation for the multi-source
+  /// planner, which takes cached sources from the Data Store instead.
   [[nodiscard]] std::vector<ReuseSource> executingSources(NodeId n) const;
 
   /// Snapshot of a node's current state (nullopt if no longer in graph).
@@ -186,21 +170,14 @@ class QueryScheduler {
     std::uint64_t version = 0;
     std::uint64_t execSeq = 0;
   };
-  /// One staged reportQueryOutcome / reportResourceSignal call.
-  struct FeedbackEvent {
-    enum class Kind : std::uint8_t { Outcome, Resource } kind = Kind::Outcome;
-    double value = 0.0;
-  };
 
   void rerankLocked(NodeId n) REQUIRES(mu_);
   void rerankNeighborsLocked(NodeId n) REQUIRES(mu_);
   void rerankAllWaitingLocked() REQUIRES(mu_);
   void afterEventLocked(NodeId n) REQUIRES(mu_);
-  /// Apply every staged feedback event (plus `extra`, the overflow
-  /// fallback), then rerank the waiting set once if any event arrived and
-  /// the policy is adaptive.
-  void drainFeedbackLocked(const FeedbackEvent* extra = nullptr)
-      REQUIRES(mu_);
+  /// Rerank the waiting set once if feedback arrived since the last
+  /// scheduling event.
+  void rerankAfterFeedbackLocked() REQUIRES(mu_);
 
   /// Set once before any worker thread exists (QueryServer's constructor
   /// installs it before spawning workers); the pointee synchronizes itself.
@@ -217,9 +194,9 @@ class QueryScheduler {
   std::size_t waiting_ GUARDED_BY(mu_) = 0;
   std::size_t executing_ GUARDED_BY(mu_) = 0;
   Stats stats_ GUARDED_BY(mu_);
-  /// Staged feedback reports (producers: query threads, lock-free;
-  /// consumer: drainFeedbackLocked under mu_).
-  MpscRing<FeedbackEvent, 256> feedback_;
+  /// A feedback hook ran since the last scheduling event, so the waiting
+  /// ranks are stale.
+  bool feedbackPending_ GUARDED_BY(mu_) = false;
 };
 
 }  // namespace mqs::sched

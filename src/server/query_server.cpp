@@ -10,11 +10,11 @@
 namespace mqs::server {
 
 namespace {
-/// Combined contention counts for a subsystem spanning two lock ranks
-/// (its coarse lock plus the sharded variant).
-lockstats::Counts sumCounts(lockorder::Rank a, lockorder::Rank b) {
-  const auto ca = lockstats::countsFor(a);
-  const auto cb = lockstats::countsFor(b);
+/// Combined contention counts for the Page Space, which spans two lock
+/// ranks (its source registry plus its cache shards).
+lockstats::Counts pageSpaceCounts() {
+  const auto ca = lockstats::countsFor(lockorder::Rank::kPageSpace);
+  const auto cb = lockstats::countsFor(lockorder::Rank::kPageSpaceShard);
   return lockstats::Counts{ca.contended + cb.contended,
                            ca.waitNanos + cb.waitNanos};
 }
@@ -26,10 +26,9 @@ QueryServer::QueryServer(const query::QuerySemantics* semantics,
     : sem_(semantics),
       exec_(executor),
       cfg_(std::move(cfg)),
-      scheduler_(semantics, sched::makePolicy(cfg_.policy, cfg_.alpha),
-                 cfg_.incrementalRanking),
+      scheduler_(semantics, sched::makePolicy(cfg_.policy, cfg_.alpha)),
       ds_(cfg_.dsBytes, semantics,
-          datastore::parseEvictionPolicy(cfg_.dsEviction), cfg_.dsShards),
+          datastore::parseEvictionPolicy(cfg_.dsEviction)),
       ps_(cfg_.psBytes, cfg_.psIoThreads,
           pagespace::RetryPolicy{cfg_.ioRetryAttempts,
                                  cfg_.ioRetryBackoffSec},
@@ -63,10 +62,8 @@ QueryServer::QueryServer(const query::QuerySemantics* semantics,
     ds_.setTracer(tracer_);
     ps_.setTracer(tracer_);
     lockWaitBaseSched_ = lockstats::countsFor(lockorder::Rank::kScheduler);
-    lockWaitBaseDs_ = sumCounts(lockorder::Rank::kDataStore,
-                                lockorder::Rank::kDataStoreShard);
-    lockWaitBasePs_ = sumCounts(lockorder::Rank::kPageSpace,
-                                lockorder::Rank::kPageSpaceShard);
+    lockWaitBaseDs_ = lockstats::countsFor(lockorder::Rank::kDataStore);
+    lockWaitBasePs_ = pageSpaceCounts();
   }
   // Cost-aware eviction and the spill tier's restore-vs-recompute gate both
   // need every blob stamped with its traced recompute cost. With a trace
@@ -297,11 +294,8 @@ void QueryServer::shutdown() {
     emit(trace::CounterKind::LockWaitSched, lockWaitBaseSched_,
          lockstats::countsFor(lockorder::Rank::kScheduler));
     emit(trace::CounterKind::LockWaitDs, lockWaitBaseDs_,
-         sumCounts(lockorder::Rank::kDataStore,
-                   lockorder::Rank::kDataStoreShard));
-    emit(trace::CounterKind::LockWaitPs, lockWaitBasePs_,
-         sumCounts(lockorder::Rank::kPageSpace,
-                   lockorder::Rank::kPageSpaceShard));
+         lockstats::countsFor(lockorder::Rank::kDataStore));
+    emit(trace::CounterKind::LockWaitPs, lockWaitBasePs_, pageSpaceCounts());
   }
 }
 

@@ -86,10 +86,9 @@ struct ServerConfig {
   int threads = 4;
   std::uint64_t dsBytes = 64ULL << 20;
   std::uint64_t psBytes = 32ULL << 20;
-  /// Lock shards for the Data Store / Page Space Manager (rounded up to a
-  /// power of two; see DESIGN.md §10). 1 = the historical single-lock
-  /// behaviour; raise toward the worker-thread count under contention.
-  int dsShards = 1;
+  /// Lock shards for the Page Space Manager (rounded up to a power of two;
+  /// see DESIGN.md §10). 1 = the historical single-lock behaviour; raise
+  /// toward the worker-thread count under contention.
   int psShards = 1;
   /// Executor readahead window in pages (0 = synchronous fetches); the
   /// real-path mirror of the simulator's `prefetchPages`. Consumed by the
@@ -144,7 +143,6 @@ struct ServerConfig {
   std::string spillDir;
   std::string policy = "FIFO";
   double alpha = 0.2;
-  bool incrementalRanking = true;
   bool dataStoreEnabled = true;
   bool cacheSubqueryResults = true;
   int maxNestedReuseDepth = 2;

@@ -24,8 +24,7 @@ SimServer::SimServer(Simulator& sim, const query::QuerySemantics* semantics,
       sem_(semantics),
       model_(model),
       cfg_(std::move(cfg)),
-      scheduler_(semantics, sched::makePolicy(cfg_.policy, cfg_.alpha),
-                 cfg_.incrementalRanking),
+      scheduler_(semantics, sched::makePolicy(cfg_.policy, cfg_.alpha)),
       ds_(cfg_.dsBytes, semantics,
           datastore::parseEvictionPolicy(cfg_.dsEviction)),
       psCore_(cfg_.psBytes),

@@ -97,7 +97,6 @@ struct SimConfig {
 
   std::string policy = "FIFO";
   double alpha = 0.2;  ///< CF / COMBINED weight
-  bool incrementalRanking = true;
 
   /// Optional query-lifecycle trace sink. The simulator stamps events with
   /// *virtual* time but emits the identical span vocabulary as the threaded

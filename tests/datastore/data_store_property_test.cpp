@@ -100,11 +100,13 @@ TEST(DataStoreProperty, MatchesReferenceLruModel) {
       const BlobId id = live[static_cast<std::size_t>(
           rng.uniformInt(0, static_cast<std::int64_t>(live.size()) - 1))];
       const VMPredicate probe(0, regionFor(id), 1, VMOp::Subsample);
-      const auto m = ds.lookup(probe);
+      // The planner's reuse test: best candidate, then report it used.
+      const auto top = ds.lookupTopK(probe, 1);
       const bool expectHit = model.entries.contains(id);
-      ASSERT_EQ(m.has_value(), expectHit) << "step " << step << " id " << id;
-      if (m) {
-        ASSERT_EQ(m->id, id);
+      ASSERT_EQ(!top.empty(), expectHit) << "step " << step << " id " << id;
+      if (!top.empty()) {
+        ASSERT_EQ(top.front().id, id);
+        ds.noteReuse(top.front().id, top.front().overlap);
         model.touch(id);
       }
     } else if (roll < 0.85 && !live.empty()) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "common/check.hpp"
@@ -29,6 +30,28 @@ class DataStoreTest : public ::testing::Test {
     return vm::asVM(p).outBytes();
   }
 
+  /// The planner's reuse test for one source: the best match (ties toward
+  /// the newer blob), reported back as used so it refreshes recency and
+  /// counts a hit.
+  static std::optional<DataStore::Match> lookup(DataStore& ds,
+                                                const query::Predicate& q,
+                                                double minOverlap = 0.0) {
+    const auto top = ds.lookupTopK(q, 1, minOverlap);
+    if (top.empty()) return std::nullopt;
+    ds.noteReuse(top.front().id, top.front().overlap);
+    return top.front();
+  }
+
+  /// lookup() that also pins the match the way the planner does: tryPin
+  /// the candidate before reporting it, so an eviction cannot slip between.
+  static std::optional<DataStore::Match> lookupAndPin(
+      DataStore& ds, const query::Predicate& q) {
+    const auto top = ds.lookupTopK(q, 1);
+    if (top.empty() || !ds.tryPin(top.front().id)) return std::nullopt;
+    ds.noteReuse(top.front().id, top.front().overlap);
+    return top.front();
+  }
+
   vm::VMSemantics sem_;
   storage::DatasetId dataset_ = 0;
 };
@@ -38,7 +61,7 @@ TEST_F(DataStoreTest, InsertAndExactLookup) {
   auto p = pred(Rect::ofSize(0, 0, 256, 256), 4);
   const auto id = ds.insert(p->clone(), {}, outBytes(*p));
   ASSERT_TRUE(id.has_value());
-  const auto m = ds.lookup(*p);
+  const auto m = lookup(ds, *p);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->id, *id);
   EXPECT_DOUBLE_EQ(m->overlap, 1.0);
@@ -52,17 +75,35 @@ TEST_F(DataStoreTest, LookupPicksBestOverlap) {
   auto hiRes = pred(Rect::ofSize(0, 0, 256, 256), 2);
   (void)ds.insert(hiRes->clone(), {}, outBytes(*hiRes));
   const auto bestId = ds.insert(loRes->clone(), {}, outBytes(*loRes));
-  const auto m = ds.lookup(*pred(Rect::ofSize(0, 0, 256, 256), 4));
+  const auto m = lookup(ds, *pred(Rect::ofSize(0, 0, 256, 256), 4));
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->id, *bestId);
   EXPECT_DOUBLE_EQ(m->overlap, 1.0);
+}
+
+TEST_F(DataStoreTest, LookupTopKBreaksTiesTowardNewerBlob) {
+  // Two results for the same predicate overlap the query equally; the
+  // newer one ranks first, so the planner's single best source is it.
+  DataStore ds(1 << 24, &sem_);
+  auto p = pred(Rect::ofSize(0, 0, 256, 256), 4);
+  const auto older = ds.insert(p->clone(), {}, outBytes(*p));
+  const auto newer = ds.insert(p->clone(), {}, outBytes(*p));
+  ASSERT_TRUE(older.has_value() && newer.has_value());
+  const auto top = ds.lookupTopK(*p, 2);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_EQ(top[0].id, *newer);
+  EXPECT_EQ(top[1].id, *older);
+  EXPECT_DOUBLE_EQ(top[0].overlap, top[1].overlap);
+  const auto m = lookup(ds, *p);
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(m->id, *newer);
 }
 
 TEST_F(DataStoreTest, LookupMissesDisjointRegions) {
   DataStore ds(1 << 20, &sem_);
   auto p = pred(Rect::ofSize(0, 0, 128, 128), 4);
   (void)ds.insert(p->clone(), {}, outBytes(*p));
-  EXPECT_FALSE(ds.lookup(*pred(Rect::ofSize(2048, 2048, 128, 128), 4)));
+  EXPECT_FALSE(lookup(ds, *pred(Rect::ofSize(2048, 2048, 128, 128), 4)));
 }
 
 TEST_F(DataStoreTest, MinOverlapThreshold) {
@@ -71,9 +112,9 @@ TEST_F(DataStoreTest, MinOverlapThreshold) {
   auto cached = pred(Rect::ofSize(0, 0, 128, 128), 4);
   (void)ds.insert(cached->clone(), {}, outBytes(*cached));
   auto q = pred(Rect::ofSize(0, 0, 256, 256), 4);
-  EXPECT_TRUE(ds.lookup(*q, 0.0).has_value());   // 0.25 > 0
-  EXPECT_FALSE(ds.lookup(*q, 0.25).has_value()); // strictly greater required
-  EXPECT_FALSE(ds.lookup(*q, 0.5).has_value());
+  EXPECT_TRUE(lookup(ds, *q, 0.0).has_value());   // 0.25 > 0
+  EXPECT_FALSE(lookup(ds, *q, 0.25).has_value()); // strictly greater required
+  EXPECT_FALSE(lookup(ds, *q, 0.5).has_value());
 }
 
 TEST_F(DataStoreTest, LruEvictionWithListener) {
@@ -89,14 +130,14 @@ TEST_F(DataStoreTest, LruEvictionWithListener) {
   auto b = pred(Rect::ofSize(256, 0, 256, 256), 4);
   (void)ds.insert(b->clone(), {}, blobBytes);
   // Touch a so b is LRU.
-  (void)ds.lookup(*a);
+  (void)lookup(ds, *a);
   auto c = pred(Rect::ofSize(512, 0, 256, 256), 4);
   (void)ds.insert(c->clone(), {}, blobBytes);
 
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_NE(evicted[0], *ida);  // b was evicted, not the touched a
-  EXPECT_TRUE(ds.lookup(*a).has_value());
-  EXPECT_FALSE(ds.lookup(*b, 0.9).has_value());
+  EXPECT_TRUE(lookup(ds, *a).has_value());
+  EXPECT_FALSE(lookup(ds, *b, 0.9).has_value());
   EXPECT_EQ(ds.residentBlobs(), 2u);
 }
 
@@ -119,7 +160,7 @@ TEST_F(DataStoreTest, LookupAndPinBlocksEviction) {
   const std::uint64_t blobBytes = outBytes(*a);
   DataStore ds(blobBytes, &sem_);
   (void)ds.insert(a->clone(), {}, blobBytes);
-  const auto m = ds.lookupAndPin(*a);
+  const auto m = lookupAndPin(ds, *a);
   ASSERT_TRUE(m.has_value());
   // New insert cannot evict the pinned blob -> uncacheable.
   auto b = pred(Rect::ofSize(256, 0, 256, 256), 4);
@@ -187,9 +228,9 @@ TEST_F(DataStoreTest, StatsCountHitsAndFullHits) {
   DataStore ds(1 << 24, &sem_);
   auto a = pred(Rect::ofSize(0, 0, 256, 256), 4);
   (void)ds.insert(a->clone(), {}, outBytes(*a));
-  (void)ds.lookup(*a);                                    // full hit
-  (void)ds.lookup(*pred(Rect::ofSize(0, 0, 512, 512), 4)); // partial hit
-  (void)ds.lookup(*pred(Rect::ofSize(2048, 2048, 64, 64), 4)); // miss
+  (void)lookup(ds, *a);                                    // full hit
+  (void)lookup(ds, *pred(Rect::ofSize(0, 0, 512, 512), 4)); // partial hit
+  (void)lookup(ds, *pred(Rect::ofSize(2048, 2048, 64, 64), 4)); // miss
   const auto s = ds.stats();
   EXPECT_EQ(s.lookups, 3u);
   EXPECT_EQ(s.hits, 2u);
@@ -205,8 +246,8 @@ TEST_F(DataStoreTest, LfuEvictsColdBlobs) {
   const auto idb = ds.insert(b->clone(), {}, blobBytes);
   // Hit a twice, b never. Under LRU, inserting c would evict a-or-b by
   // recency; under LFU, b (0 uses) must go even if a is less recent.
-  (void)ds.lookup(*a);
-  (void)ds.lookup(*a);
+  (void)lookup(ds, *a);
+  (void)lookup(ds, *a);
   auto c = pred(Rect::ofSize(2048, 0, 256, 256), 4);
   (void)ds.insert(c->clone(), {}, blobBytes);
   EXPECT_TRUE(ds.contains(*ida));
@@ -220,7 +261,7 @@ TEST_F(DataStoreTest, LargestEvictsBiggestFirst) {
   const auto idSmall = ds.insert(small->clone(), {}, 300);
   const auto idBig = ds.insert(big->clone(), {}, 600);
   // Touch big so LRU would evict small; LARGEST must still pick big.
-  (void)ds.lookup(*big);
+  (void)lookup(ds, *big);
   auto more = pred(Rect::ofSize(2048, 0, 128, 128), 4);
   (void)ds.insert(more->clone(), {}, 500);
   EXPECT_TRUE(ds.contains(*idSmall));
@@ -244,7 +285,7 @@ TEST_F(DataStoreTest, PinGuardReleasesOnDestruction) {
   auto a = pred(Rect::ofSize(0, 0, 128, 128), 4);
   const auto id = ds.insert(a->clone(), {}, outBytes(*a));
   {
-    const auto m = ds.lookupAndPin(*a);
+    const auto m = lookupAndPin(ds, *a);
     ASSERT_TRUE(m);
     DataStore::PinGuard guard(ds, m->id);
     EXPECT_TRUE(guard.held());
@@ -282,7 +323,7 @@ TEST_F(DataStoreTest, DifferentOperatorsNeverMatch) {
   auto sub = pred(Rect::ofSize(0, 0, 128, 128), 4, VMOp::Subsample);
   (void)ds.insert(sub->clone(), {}, outBytes(*sub));
   EXPECT_FALSE(
-      ds.lookup(*pred(Rect::ofSize(0, 0, 128, 128), 4, VMOp::Average)));
+      lookup(ds, *pred(Rect::ofSize(0, 0, 128, 128), 4, VMOp::Average)));
 }
 
 }  // namespace

@@ -48,12 +48,12 @@ TEST(EvictionReentrancyDeathTest, ListenerCallingBackIntoStoreAborts) {
         const std::uint64_t bytes = vm::asVM(*a).outBytes();
         DataStore ds(2 * bytes, &sem);
         ds.setEvictionListener([&ds](EvictedBlob blob) {
-          (void)ds.lookup(*blob.predicate);  // the forbidden re-entry
+          (void)ds.lookupTopK(*blob.predicate, 1);  // the forbidden re-entry
         });
         (void)ds.insert(std::move(a), {}, bytes);
         (void)ds.insert(pred(sem, dataset, 256), {}, bytes);
         // Third insert overflows the two-blob budget, evicts, and fires
-        // the listener — which must abort on its lookup().
+        // the listener — which must abort on its lookupTopK().
         (void)ds.insert(pred(sem, dataset, 512), {}, bytes);
       },
       "eviction-listener reentrancy");

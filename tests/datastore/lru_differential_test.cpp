@@ -1,11 +1,12 @@
 // Differential guard for the pluggable-eviction refactor (DESIGN.md §13):
-// a DataStore built with the Lru ranker at shards == 1 and no spill tier
-// must reproduce the historical inline-LRU store byte for byte. The oracle
-// below *is* the historical algorithm — front-of-list most recent, victims
-// taken from the unpinned tail, dense id sequence 1, 2, 3, ... — and a
+// a DataStore built with the Lru ranker and no spill tier must reproduce
+// the historical inline-LRU store byte for byte. The oracle below *is* the
+// historical algorithm — front-of-list most recent, victims taken from the
+// unpinned tail, dense id sequence 1, 2, 3, ... — and a
 // seeded random op stream (insert / lookup / noteReuse / erase) drives both
 // in lockstep, comparing ids, eviction order, residency, and counters after
-// every step.
+// every step. A lookup is the planner's reuse test for one source:
+// lookupTopK(k = 1), then noteReuse() on the winner.
 #include <gtest/gtest.h>
 
 #include <list>
@@ -48,33 +49,22 @@ class LruOracle {
     return id;
   }
 
-  /// Best strictly-greater-than-`minOverlap` overlap among resident blobs.
-  /// Tie-break among equal-overlap blobs is the one store behaviour the
-  /// oracle does not model (it follows R-tree traversal order), so the
-  /// caller passes the store's chosen id in and the oracle verifies the
-  /// choice is *a* maximal one, then refreshes it — keeping the recency
-  /// lists in lockstep.
-  std::optional<double> lookup(const query::Predicate& q, double minOverlap) {
+  /// Best strictly-greater-than-`minOverlap` resident blob, ties toward
+  /// the newer (higher) id. Does not touch recency: the caller reports the
+  /// winner through noteReuse(), as the planner does.
+  std::optional<DataStore::Match> lookup(const query::Predicate& q,
+                                         double minOverlap) {
     ++lookups_;
-    double best = minOverlap;
-    bool found = false;
+    std::optional<DataStore::Match> best;
     for (const auto& [id, b] : blobs_) {
       const double ov = sem_->overlap(*b.pred, q);
-      if (ov > best) {
-        best = ov;
-        found = true;
+      if (ov <= minOverlap) continue;
+      if (!best || ov > best->overlap ||
+          (ov == best->overlap && id > best->id)) {
+        best = DataStore::Match{id, ov};
       }
     }
-    if (!found) return std::nullopt;
     return best;
-  }
-
-  void commitHit(BlobId id, double overlap) {
-    auto it = blobs_.find(id);
-    ASSERT_TRUE(it != blobs_.end());
-    lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-    ++hits_;
-    if (overlap >= 1.0) ++fullHits_;
   }
 
   void noteReuse(BlobId id, double overlap) {
@@ -89,11 +79,6 @@ class LruOracle {
     if (!blobs_.contains(id)) return;
     remove(id);
     evictedLog.push_back(id);  // listener fires; stats().evictions does not
-  }
-
-  [[nodiscard]] double overlapOf(BlobId id, const query::Predicate& q) const {
-    const auto it = blobs_.find(id);
-    return it == blobs_.end() ? -1.0 : sem_->overlap(*it->second.pred, q);
   }
 
   [[nodiscard]] std::uint64_t residentBytes() const { return resident_; }
@@ -160,7 +145,7 @@ class LruDifferentialTest : public ::testing::Test {
 TEST_F(LruDifferentialTest, RankerStoreMatchesInlineLruOracle) {
   // Tight enough that the stream keeps the store under eviction pressure.
   const std::uint64_t capacity = 96 << 10;
-  DataStore ds(capacity, &sem_, EvictionPolicy::Lru, /*shards=*/1);
+  DataStore ds(capacity, &sem_, EvictionPolicy::Lru);
   LruOracle oracle(capacity, &sem_);
 
   std::vector<BlobId> dsEvicted;
@@ -191,17 +176,16 @@ TEST_F(LruDifferentialTest, RankerStoreMatchesInlineLruOracle) {
                                     1))]
                     ->clone()
               : randomPred(rng);
-      const auto a = ds.lookup(*probe);
+      const auto a = ds.lookupTopK(*probe, 1);
       const auto best = oracle.lookup(*probe, 0.0);
-      ASSERT_EQ(a.has_value(), best.has_value())
+      ASSERT_EQ(!a.empty(), best.has_value())
           << "hit/miss diverged at step " << step;
-      if (a) {
-        // The store's winner must carry the oracle's best overlap (the
-        // winning *score* is deterministic even where equal-overlap
-        // tie-break order is not).
-        ASSERT_DOUBLE_EQ(a->overlap, *best);
-        ASSERT_DOUBLE_EQ(oracle.overlapOf(a->id, *probe), *best);
-        oracle.commitHit(a->id, a->overlap);
+      if (best) {
+        ASSERT_EQ(a.front().id, best->id)
+            << "winner (tie rule) diverged at step " << step;
+        ASSERT_DOUBLE_EQ(a.front().overlap, best->overlap);
+        ds.noteReuse(a.front().id, a.front().overlap);
+        oracle.noteReuse(best->id, best->overlap);
       }
     } else if (dice < 0.90 && !ids.empty()) {
       const BlobId id = ids[static_cast<std::size_t>(

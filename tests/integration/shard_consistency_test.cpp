@@ -1,20 +1,20 @@
-// Sharded-state consistency suite (DESIGN.md §10).
+// Shared-cache consistency suite (DESIGN.md §10).
 //
 // Two families of guarantees:
-//  (1) Differential: shards = 1 is the historical single-lock behaviour —
-//      sequential blob ids, global LRU eviction order — and a deterministic
-//      single-threaded op trace produces identical observable results on a
-//      single-lock and a sharded store / page space.
-//  (2) Consistency: randomized multi-threaded traffic against sharded
-//      instances leaves every invariant intact (budget conservation,
-//      resident <= capacity, settled claims). These tests are the TSan
-//      targets for the `shard` label.
+//  (1) Determinism: the Data Store allocates the dense blob ids 1, 2, 3, ...
+//      and evicts in global LRU order, and a deterministic single-threaded
+//      fetch trace produces identical observable results on a single-lock
+//      and a sharded Page Space.
+//  (2) Consistency: randomized multi-threaded traffic against the Data
+//      Store and a sharded Page Space leaves every invariant intact (budget
+//      conservation, resident <= capacity, settled claims). These tests are
+//      the TSan targets for the `shard` label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <mutex>
-#include <optional>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -22,7 +22,6 @@
 #include "datastore/data_store.hpp"
 #include "index/chunk_layout.hpp"
 #include "pagespace/page_space_manager.hpp"
-#include "sched/scheduler.hpp"
 #include "storage/synthetic_source.hpp"
 #include "vm/vm_predicate.hpp"
 #include "vm/vm_semantics.hpp"
@@ -53,11 +52,10 @@ class ShardConsistencyTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Differential: shards = 1 is the pre-shard store.
+// Determinism of the single-lock Data Store and the sharded Page Space.
 
 TEST_F(ShardConsistencyTest, SingleShardKeepsSequentialBlobIds) {
   datastore::DataStore ds(1ULL << 24, &sem_);
-  ASSERT_EQ(ds.shardCount(), 1);
   for (std::uint64_t i = 0; i < 8; ++i) {
     auto p = pred(Rect::ofSize(static_cast<std::int64_t>(i) * 256, 0, 64, 64));
     const auto bytes = outBytes(*p);
@@ -68,8 +66,9 @@ TEST_F(ShardConsistencyTest, SingleShardKeepsSequentialBlobIds) {
 }
 
 TEST_F(ShardConsistencyTest, SingleShardEvictsInGlobalLruOrder) {
-  // Capacity for exactly four 64x64 zoom-4 blobs; refresh #1, insert a
-  // fifth: the global LRU must evict #2 (the pre-shard discipline).
+  // Capacity for exactly four 64x64 zoom-4 blobs; refresh #1 the way the
+  // planner does (lookupTopK, then noteReuse), insert a fifth: the global
+  // LRU must evict #2.
   auto probe = pred(Rect::ofSize(0, 0, 64, 64));
   const std::uint64_t one = outBytes(*probe);
   datastore::DataStore ds(4 * one, &sem_);
@@ -81,46 +80,15 @@ TEST_F(ShardConsistencyTest, SingleShardEvictsInGlobalLruOrder) {
     auto p = pred(Rect::ofSize(i * 256, 0, 64, 64));
     ids.push_back(*ds.insert(std::move(p), {}, one));
   }
-  ASSERT_TRUE(ds.lookup(*pred(Rect::ofSize(0, 0, 64, 64))).has_value());
+  const auto hit = ds.lookupTopK(*pred(Rect::ofSize(0, 0, 64, 64)), 1);
+  ASSERT_EQ(hit.size(), 1u);
+  ASSERT_EQ(hit.front().id, ids[0]);
+  ds.noteReuse(hit.front().id, hit.front().overlap);
   auto p = pred(Rect::ofSize(4 * 256, 0, 64, 64));
   ASSERT_TRUE(ds.insert(std::move(p), {}, one).has_value());
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted.front(), ids[1]);  // #1 was refreshed; #2 is LRU tail
   EXPECT_EQ(ds.stats().evictions, 1u);
-}
-
-TEST_F(ShardConsistencyTest, DataStoreTraceMatchesAcrossShardCounts) {
-  // One deterministic op trace, no evictions: every observable — hit
-  // pattern, overlaps, stats, resident accounting — must be identical on
-  // the single-lock and the 8-shard store.
-  auto run = [&](int shards) {
-    datastore::DataStore ds(1ULL << 28, &sem_,
-                            datastore::EvictionPolicy::Lru, shards);
-    std::vector<datastore::BlobId> ids;
-    for (int i = 0; i < 24; ++i) {
-      auto p = pred(Rect::ofSize((i % 6) * 512, (i / 6) * 512, 128, 128));
-      const auto bytes = outBytes(*p);
-      const auto id = ds.insert(std::move(p), {}, bytes);
-      EXPECT_TRUE(id.has_value());
-      if (id.has_value()) ids.push_back(*id);
-    }
-    std::vector<double> overlaps;
-    for (int i = 0; i < 24; ++i) {
-      // Alternate exact repeats (full hits) and disjoint regions (misses).
-      const Rect r = (i % 2 == 0)
-                         ? Rect::ofSize((i % 6) * 512, (i / 6) * 512, 128, 128)
-                         : Rect::ofSize(9000 + i * 64, 9000, 64, 64);
-      const auto m = ds.lookup(*pred(r));
-      overlaps.push_back(m.has_value() ? m->overlap : -1.0);
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 3) ds.noteReuse(ids[i], 1.0);
-    ds.erase(ids[5]);
-    const auto st = ds.stats();
-    return std::tuple{overlaps, st.lookups, st.hits, st.fullHits, st.inserts,
-                      st.evictions, st.uncacheable, ds.residentBytes(),
-                      ds.residentBlobs()};
-  };
-  EXPECT_EQ(run(1), run(8));
 }
 
 TEST_F(ShardConsistencyTest, PageSpaceTraceMatchesAcrossShardCounts) {
@@ -146,25 +114,6 @@ TEST_F(ShardConsistencyTest, PageSpaceTraceMatchesAcrossShardCounts) {
   EXPECT_EQ(run(1), run(8));
 }
 
-TEST_F(ShardConsistencyTest, BudgetStaysConservedUnderEvictionPressure) {
-  // Eviction-heavy single-threaded traffic on both shard counts: the
-  // sharded byte budget (slices + spare) must always re-account to the
-  // configured capacity, and residency must respect it.
-  auto probe = pred(Rect::ofSize(0, 0, 128, 128));
-  const std::uint64_t one = outBytes(*probe);
-  for (int shards : {1, 4, 8}) {
-    datastore::DataStore ds(6 * one, &sem_, datastore::EvictionPolicy::Lru,
-                            shards);
-    for (int i = 0; i < 64; ++i) {
-      auto p = pred(Rect::ofSize((i % 16) * 256, (i / 16) * 256, 128, 128));
-      (void)ds.insert(std::move(p), {}, one);
-      EXPECT_EQ(ds.budgetAccountedBytes(), ds.capacityBytes());
-      EXPECT_LE(ds.residentBytes(), ds.capacityBytes());
-    }
-    EXPECT_GT(ds.stats().evictions, 0u);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Randomized multi-threaded consistency (TSan targets).
 
@@ -172,61 +121,82 @@ TEST_F(ShardConsistencyTest, DataStoreSurvivesConcurrentMixedTraffic) {
   constexpr int kThreads = 4, kOpsPerThread = 400;
   auto probe = pred(Rect::ofSize(0, 0, 128, 128));
   const std::uint64_t one = outBytes(*probe);
-  datastore::DataStore ds(24 * one, &sem_, datastore::EvictionPolicy::Lru,
-                          /*shards=*/8);
-  std::mutex idsMu;
-  std::vector<datastore::BlobId> ids;
+  datastore::DataStore ds(24 * one, &sem_);
+  // Thread t owns grid columns t, t + kThreads, ...: its lookups, pins and
+  // erases touch only its own blobs (erasing a blob another thread has
+  // pinned breaks the store's contract), while every thread's inserts
+  // compete for the one budget and evict each other's blobs.
+  const auto anchorCell = [](int t) {
+    return Rect::ofSize(t * 256, 40 * 256, 128, 128);  // off the grid
+  };
+  // One anchor per worker, held pinned by the test thread until every
+  // worker has read its own anchor pinned: that first pinned read cannot
+  // lose to eviction, so pinnedReads >= kThreads on every run.
+  const std::vector<std::byte> anchorPayload(64, std::byte{0x5a});
+  std::vector<datastore::BlobId> anchors;
+  for (int t = 0; t < kThreads; ++t) {
+    const auto id = ds.insert(pred(anchorCell(t)), anchorPayload, one);
+    ASSERT_TRUE(id.has_value());
+    ds.pin(*id);
+    anchors.push_back(*id);
+  }
+  std::latch anchorsRead(kThreads);
   std::atomic<std::uint64_t> pinnedReads{0};
+  // The planner's source selection: best candidate, pinned, then reported.
+  const auto pinnedRead = [&](const query::Predicate& q) {
+    const auto top = ds.lookupTopK(q, 1);
+    if (top.empty() || !ds.tryPin(top.front().id)) return false;
+    const datastore::DataStore::PinGuard guard(ds, top.front().id);
+    ds.noteReuse(top.front().id, top.front().overlap);
+    const auto bytes = ds.payload(top.front().id);
+    EXPECT_TRUE(bytes.empty() ||
+                std::equal(bytes.begin(), bytes.end(), anchorPayload.begin(),
+                           anchorPayload.end()));
+    pinnedReads.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
   {
     std::vector<std::jthread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
+        EXPECT_TRUE(pinnedRead(*pred(anchorCell(t))));
+        anchorsRead.count_down();
         Rng rng(static_cast<std::uint64_t>(t) + 17);
+        std::vector<datastore::BlobId> ids;
+        const auto cell = [&] {
+          return Rect::ofSize((rng.uniformInt(0, 7) * kThreads + t) * 256,
+                              rng.uniformInt(0, 31) * 256, 128, 128);
+        };
         for (int i = 0; i < kOpsPerThread; ++i) {
           const int op = static_cast<int>(rng.uniformInt(0, 9));
-          const auto cell = [&] {
-            return Rect::ofSize(rng.uniformInt(0, 31) * 256,
-                                rng.uniformInt(0, 31) * 256, 128, 128);
-          };
           if (op < 4) {
             (void)ds.insert(pred(cell()), {}, one);
+            const auto top = ds.lookupTopK(*pred(cell()), 1);
+            if (!top.empty()) ids.push_back(top.front().id);
           } else if (op < 7) {
-            const auto m = ds.lookupAndPin(*pred(cell()));
-            if (m.has_value()) {
-              pinnedReads.fetch_add(ds.payload(m->id).size() + 1,
-                                    std::memory_order_relaxed);
-              ds.unpin(m->id);
-            }
-          } else {
-            std::scoped_lock lock(idsMu);
-            if (!ids.empty()) {
-              const auto id = ids[rng.uniformInt(
-                  0, static_cast<std::int64_t>(ids.size()) - 1)];
-              if (op == 7) {
-                ds.noteReuse(id, 0.5);
-              } else if (op == 8) {
-                if (ds.tryPin(id)) ds.unpin(id);
-              } else {
-                ds.erase(id);
-              }
-            }
-          }
-          if (op < 4) {
-            const auto m = ds.lookup(*pred(cell()));
-            if (m.has_value()) {
-              std::scoped_lock lock(idsMu);
-              ids.push_back(m->id);
+            (void)pinnedRead(*pred(cell()));
+          } else if (!ids.empty()) {
+            const auto id = ids[static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<std::int64_t>(ids.size()) - 1))];
+            if (op == 7) {
+              ds.noteReuse(id, 0.5);
+            } else if (op == 8) {
+              if (ds.tryPin(id)) ds.unpin(id);
+            } else {
+              ds.erase(id);
             }
           }
         }
       });
     }
+    anchorsRead.wait();
+    for (const auto id : anchors) ds.unpin(id);
   }
-  EXPECT_EQ(ds.budgetAccountedBytes(), ds.capacityBytes());
   EXPECT_LE(ds.residentBytes(), ds.capacityBytes());
+  EXPECT_EQ(ds.pinnedBlobs(), 0u);
   const auto st = ds.stats();
   EXPECT_LE(st.hits, st.lookups);
-  EXPECT_GT(pinnedReads.load(), 0u);
+  EXPECT_GE(pinnedReads.load(), static_cast<std::uint64_t>(kThreads));
 }
 
 TEST_F(ShardConsistencyTest, PageSpaceSurvivesConcurrentFetchTraffic) {
@@ -263,50 +233,6 @@ TEST_F(ShardConsistencyTest, PageSpaceSurvivesConcurrentFetchTraffic) {
   const auto st = ps.stats();
   EXPECT_EQ(st.hits + st.misses + st.merged,
             static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
-}
-
-// ---------------------------------------------------------------------------
-// Scheduler feedback batching.
-
-TEST_F(ShardConsistencyTest, BatchedFeedbackOverflowStillReachesPolicy) {
-  // 300 staged outcomes overflow the 256-entry ring, exercising the
-  // inline-drain fallback; the adaptive policy must still see all of them
-  // (coverage dominates once the reuse EWMA converges to 1).
-  sched::QueryScheduler s(&sem_, sched::makePolicy("ADAPTIVE", 0.2), true);
-  const auto src = s.submit(pred(Rect::ofSize(0, 0, 2048, 2048)));
-  ASSERT_EQ(s.dequeue(), src);
-  s.completed(src);
-  for (int i = 0; i < 300; ++i) s.reportQueryOutcome(1.0);
-  s.reportResourceSignal(1.0);
-  const auto covered = s.submit(pred(Rect::ofSize(0, 0, 2048, 2048)));
-  const auto smaller = s.submit(pred(Rect::ofSize(8192, 8192, 1024, 1024)));
-  EXPECT_EQ(s.dequeue(), covered);
-  EXPECT_EQ(s.dequeue(), smaller);
-}
-
-TEST_F(ShardConsistencyTest, ConcurrentFeedbackReportersNeverBlockDequeue) {
-  sched::QueryScheduler s(&sem_, sched::makePolicy("CF", 0.2), true);
-  std::atomic<bool> stop{false};
-  std::vector<std::jthread> reporters;
-  for (int t = 0; t < 3; ++t) {
-    reporters.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        s.reportQueryOutcome(0.5);
-        s.reportResourceSignal(0.25);
-      }
-    });
-  }
-  for (int i = 0; i < 50; ++i) {
-    const auto id = s.submit(pred(Rect::ofSize((i % 8) * 512, 0, 256, 256)));
-    const auto got = s.dequeue();
-    ASSERT_TRUE(got.has_value());
-    s.completed(*got);
-    s.swappedOut(*got);
-    (void)id;
-  }
-  stop.store(true, std::memory_order_relaxed);
-  reporters.clear();
-  EXPECT_EQ(s.stats().completedCount, 50u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -203,20 +204,22 @@ TEST_F(SchedulerTest, IncrementalMatchesFullRecomputation) {
 }
 
 TEST_F(SchedulerTest, BestReuseSourcePrefersHigherOverlap) {
+  // The planner's executing candidates come best-overlap first: the exact
+  // match outranks the older, lower-resolution (projectable) source.
   auto s = make("FIFO");
   const NodeId half = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 2));
   const NodeId exact = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 4));
   const NodeId q = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 4));
   ASSERT_EQ(s.dequeue(), half);
-  s.completed(half);
   ASSERT_EQ(s.dequeue(), exact);
-  s.completed(exact);
   ASSERT_EQ(s.dequeue(), q);
-  const auto src = s.bestReuseSource(q, true);
-  ASSERT_TRUE(src.has_value());
-  EXPECT_EQ(src->node, exact);
-  EXPECT_DOUBLE_EQ(src->overlap, 1.0);
-  EXPECT_EQ(src->state, QueryState::Cached);
+  const auto sources = s.executingSources(q);
+  ASSERT_EQ(sources.size(), 2u);
+  EXPECT_EQ(sources[0].node, exact);
+  EXPECT_DOUBLE_EQ(sources[0].overlap, 1.0);
+  EXPECT_EQ(sources[0].state, QueryState::Executing);
+  EXPECT_EQ(sources[1].node, half);
+  EXPECT_LT(sources[1].overlap, 1.0);
 }
 
 TEST_F(SchedulerTest, ExecutingSourceOnlyIfOlder) {
@@ -226,21 +229,21 @@ TEST_F(SchedulerTest, ExecutingSourceOnlyIfOlder) {
   ASSERT_EQ(s.dequeue(), first);
   ASSERT_EQ(s.dequeue(), second);
   // second (exec seq 2) may wait on first (exec seq 1)...
-  const auto forSecond = s.bestExecutingSource(second);
-  ASSERT_TRUE(forSecond.has_value());
-  EXPECT_EQ(forSecond->node, first);
+  const auto forSecond = s.executingSources(second);
+  ASSERT_FALSE(forSecond.empty());
+  EXPECT_EQ(forSecond.front().node, first);
   // ...but never the other way around, even though the overlap edge
   // first <- second does not exist (zoom); construct a symmetric case:
   const NodeId third = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 4));
   ASSERT_EQ(s.dequeue(), third);
   // third (seq 3) can wait on second (seq 2)
-  const auto forThird = s.bestExecutingSource(third);
-  ASSERT_TRUE(forThird.has_value());
-  EXPECT_EQ(forThird->node, second);
+  const auto forThird = s.executingSources(third);
+  ASSERT_FALSE(forThird.empty());
+  EXPECT_EQ(forThird.front().node, second);
   // second must not be offered third (younger) as a source.
-  const auto again = s.bestExecutingSource(second);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->node, first);
+  const auto again = s.executingSources(second);
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again.front().node, first);
 }
 
 TEST_F(SchedulerTest, PredicateOfRemovedNodeIsNullNotAnError) {
@@ -273,14 +276,20 @@ TEST_F(SchedulerTest, PredicateOfRemovedNodeIsNullNotAnError) {
 }
 
 TEST_F(SchedulerTest, SwappedOutNodesStopBeingReuseSources) {
-  auto s = make("FIFO");
+  // A swapped-out result is neither a candidate nor reuse the ranking
+  // counts: CF ranks q as if the source were gone.
+  auto s = make("CF");
   const NodeId src = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 4));
   const NodeId q = s.submit(pred(Rect::ofSize(0, 0, 1024, 1024), 4));
+  const double coldRank = s.rankOf(q);
   ASSERT_EQ(s.dequeue(), src);
   s.completed(src);
+  EXPECT_GT(s.rankOf(q), coldRank);
   s.swappedOut(src);
+  EXPECT_EQ(s.stateOf(src), QueryState::SwappedOut);
+  EXPECT_DOUBLE_EQ(s.rankOf(q), coldRank);
   ASSERT_EQ(s.dequeue(), q);
-  EXPECT_FALSE(s.bestReuseSource(q, true).has_value());
+  EXPECT_TRUE(s.executingSources(q).empty());
 }
 
 TEST_F(SchedulerTest, StatsAreMaintained) {
@@ -334,6 +343,39 @@ TEST_F(SchedulerTest, AdaptiveFeedbackChangesDequeueOrder) {
   }
 }
 
+TEST_F(SchedulerTest, ConcurrentAdaptiveFeedbackReachesPolicy) {
+  // Query threads report outcomes while the scheduler keeps scheduling;
+  // every report is applied under the scheduler lock, so after the
+  // reporters finish the policy has seen all 300 of them, exactly as if
+  // they had arrived one by one, and coverage dominates the ranking.
+  auto s = make("ADAPTIVE");
+  const NodeId src = s.submit(pred(Rect::ofSize(0, 0, 2048, 2048), 4));
+  ASSERT_EQ(s.dequeue(), src);
+  s.completed(src);
+  {
+    std::vector<std::jthread> reporters;
+    for (int t = 0; t < 3; ++t) {
+      reporters.emplace_back([&] {
+        for (int i = 0; i < 100; ++i) s.reportQueryOutcome(1.0);
+      });
+    }
+    for (int i = 0; i < 50; ++i) {
+      (void)s.submit(pred(Rect::ofSize(4096 + (i % 8) * 512, 0, 256, 256), 4));
+      const auto got = s.dequeue();
+      ASSERT_TRUE(got.has_value());
+      s.completed(*got);
+      s.retired(*got);
+    }
+  }
+  s.reportResourceSignal(1.0);
+  const NodeId covered = s.submit(pred(Rect::ofSize(0, 0, 2048, 2048), 4));
+  const NodeId smaller =
+      s.submit(pred(Rect::ofSize(8192, 8192, 1024, 1024), 4));
+  EXPECT_EQ(s.dequeue(), covered);
+  EXPECT_EQ(s.dequeue(), smaller);
+  EXPECT_EQ(s.stats().completedCount, 51u);
+}
+
 TEST_F(SchedulerTest, FeedbackIsNoopForStaticPolicies) {
   auto s = make("SJF");
   const NodeId big = s.submit(pred(Rect::ofSize(0, 0, 2048, 2048), 4));
@@ -379,7 +421,7 @@ TEST_F(SchedulerTest, ConcurrentSubmitDequeueCompleteIsConsistent) {
             std::this_thread::yield();
             continue;
           }
-          (void)s.bestReuseSource(*node, true);
+          (void)s.executingSources(*node);
           s.completed(*node);
           if ((++completedCount & 1) == 0) s.swappedOut(*node);
         }

@@ -2,8 +2,7 @@
 //
 //   mqs serve  [--port 0] [--policy CF] [--threads 4] [--datasets 3]
 //              [--side 8192] [--ds 64MB] [--ps 32MB] [--prefetch 4]
-//              [--io-threads 4] [--reuse-sources 4]
-//              [--ds-shards 1] [--ps-shards 1]
+//              [--io-threads 4] [--reuse-sources 4] [--ps-shards 1]
 //              [--ds-eviction LRU] [--spill-bytes 0] [--spill-dir DIR]
 //              [--queue-limit 0] [--client-quota 0]
 //              [--client-byte-quota 0] [--deadline 0] [--shed]
@@ -110,7 +109,6 @@ int cmdServe(const Options& opts) {
   cfg.psIoThreads = static_cast<int>(opts.getInt("io-threads", 4));
   cfg.maxReuseSources =
       static_cast<int>(opts.getInt("reuse-sources", cfg.maxReuseSources));
-  cfg.dsShards = static_cast<int>(opts.getInt("ds-shards", cfg.dsShards));
   cfg.psShards = static_cast<int>(opts.getInt("ps-shards", cfg.psShards));
   // Cost-aware caching and the spill tier (DESIGN.md §13).
   cfg.dsEviction = opts.getString("ds-eviction", cfg.dsEviction);
