@@ -1,11 +1,10 @@
-// Lock-contention microbenchmark: hot-hit throughput of the sharded Page
-// Space Manager against its single-lock (shards = 1) configuration, and of
-// the Data Store's one lock as a headroom figure, swept over worker-thread
-// counts 1 -> 128 (DESIGN.md §10).
+// Lock-contention microbenchmark: hot-hit throughput of the Page Space
+// Manager's and the Data Store's one lock each, as headroom figures, swept
+// over worker-thread counts 1 -> 128 (DESIGN.md §10).
 //
-//   micro_contention [--threads 1,2,4,8,16,32,64,128] [--shards 16]
-//                    [--ops 200000] [--trials 3] [--pages 256] [--blobs 256]
-//                    [--json-dir DIR] [--smoke]
+//   micro_contention [--threads 1,2,4,8,16,32,64,128] [--ops 200000]
+//                    [--trials 3] [--pages 256] [--blobs 256]
+//                    [--json-dir DIR]
 //
 // Every data point performs a fixed total number of hot-hit operations
 // (`--ops`, split evenly over the threads, so each point costs the same
@@ -15,16 +14,10 @@
 // so the sweep isolates lock acquisition cost. The second table reports
 // the contended-acquisition counts from mqs::lockstats (the same counters
 // the server emits as LOCK_WAIT_* trace events).
-//
-// --smoke runs only the 8-thread PS point, alternating single-lock and
-// sharded trials (ABAB...) so host load hits both alike, and exits nonzero
-// if the best sharded trial falls behind the best single-lock trial beyond
-// noise; the CI matrices run it as a guardrail test.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <initializer_list>
-#include <iostream>
 #include <thread>
 #include <vector>
 
@@ -46,25 +39,17 @@ struct RunResult {
   std::uint64_t contended = 0;  ///< blocked lock acquisitions during the run
 };
 
-std::uint64_t contendedSum(std::initializer_list<lockorder::Rank> ranks) {
-  std::uint64_t total = 0;
-  for (const lockorder::Rank rank : ranks) {
-    total += lockstats::countsFor(rank).contended;
-  }
-  return total;
-}
-
 /// Run `totalOps` calls of op(threadIndex, i) split over `threads` threads,
 /// all released together off a spin barrier; returns hot-op throughput and
-/// the contended-acquisition delta on the subsystem's lock ranks.
+/// the contended-acquisition delta on the subsystem's lock rank.
 template <typename Op>
-RunResult hammer(int threads, std::uint64_t totalOps,
-                 std::initializer_list<lockorder::Rank> ranks, Op op) {
+RunResult hammer(int threads, std::uint64_t totalOps, lockorder::Rank rank,
+                 Op op) {
   const std::uint64_t per =
       std::max<std::uint64_t>(1, totalOps / static_cast<std::uint64_t>(threads));
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
-  const std::uint64_t before = contendedSum(ranks);
+  const std::uint64_t before = lockstats::countsFor(rank).contended;
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(threads));
   for (int t = 0; t < threads; ++t) {
@@ -85,7 +70,7 @@ RunResult hammer(int threads, std::uint64_t totalOps,
           .count();
   RunResult r;
   r.opsPerSec = static_cast<double>(per) * threads / wall;
-  r.contended = contendedSum(ranks) - before;
+  r.contended = lockstats::countsFor(rank).contended - before;
   return r;
 }
 
@@ -98,14 +83,12 @@ std::uint64_t mix(std::uint64_t t, std::uint64_t i) {
 
 /// Page Space hot hits: fetch() of pages that are all resident (capacity
 /// far above the working set, prewarmed before the clock starts).
-RunResult runPs(int threads, int shards, std::uint64_t totalOps, int pages,
-                int trials) {
+RunResult runPs(int threads, std::uint64_t totalOps, int pages, int trials) {
   const index::ChunkLayout layout(64 * pages, 64, 64);
   const storage::SyntheticSlideSource slide(layout, /*seed=*/7);
   RunResult best;
   for (int trial = 0; trial < trials; ++trial) {
-    pagespace::PageSpaceManager ps(1ULL << 30, /*ioThreads=*/0,
-                                   pagespace::RetryPolicy{}, shards);
+    pagespace::PageSpaceManager ps(1ULL << 30, /*ioThreads=*/0);
     ps.attach(0, &slide);
     for (std::uint64_t p = 0; p < layout.chunkCount(); ++p) {
       (void)ps.fetch({0, p});
@@ -113,8 +96,7 @@ RunResult runPs(int threads, int shards, std::uint64_t totalOps, int pages,
     std::atomic<std::uint64_t> sink{0};
     const std::uint64_t nPages = layout.chunkCount();
     RunResult r = hammer(
-        threads, totalOps,
-        {lockorder::Rank::kPageSpaceShard, lockorder::Rank::kPageSpace},
+        threads, totalOps, lockorder::Rank::kPageSpace,
         [&](std::uint64_t t, std::uint64_t i) {
           const storage::PageKey key{0, mix(t, i) % nPages};
           sink.fetch_add(ps.fetch(key)->size(), std::memory_order_relaxed);
@@ -143,7 +125,7 @@ RunResult runDs(int threads, std::uint64_t totalOps, int blobs, int trials) {
       if (id.has_value()) ids.push_back(*id);
     }
     RunResult r = hammer(
-        threads, totalOps, {lockorder::Rank::kDataStore},
+        threads, totalOps, lockorder::Rank::kDataStore,
         [&](std::uint64_t t, std::uint64_t i) {
           ds.noteReuse(ids[mix(t, i) % ids.size()], 1.0);
         });
@@ -159,73 +141,39 @@ double mops(const RunResult& r) { return r.opsPerSec / 1e6; }
 int main(int argc, char** argv) {
   bench::Context ctx(argc, argv, "contention");
   const Options& opts = ctx.options();
-  const int shards = static_cast<int>(opts.getInt("shards", 16));
   const std::uint64_t ops =
       static_cast<std::uint64_t>(opts.getInt("ops", 200000));
   const int trials = static_cast<int>(opts.getInt("trials", 3));
   const int pages = static_cast<int>(opts.getInt("pages", 256));
   const int blobs = static_cast<int>(opts.getInt("blobs", 256));
 
-  if (opts.getBool("smoke", false)) {
-    // Guardrail, not a speedup assertion: on a loaded or single-core CI
-    // box the sharded path must simply not be slower than the single lock
-    // beyond noise (best of 5 interleaved trials each, 15% margin).
-    constexpr int kSmokeTrials = 5;
-    const int threads = static_cast<int>(opts.getInt("smoke-threads", 8));
-    RunResult single, sharded;
-    for (int trial = 0; trial < kSmokeTrials; ++trial) {
-      const RunResult a = runPs(threads, 1, ops, pages, /*trials=*/1);
-      const RunResult b = runPs(threads, shards, ops, pages, /*trials=*/1);
-      if (a.opsPerSec > single.opsPerSec) single = a;
-      if (b.opsPerSec > sharded.opsPerSec) sharded = b;
-    }
-    const double ratio = sharded.opsPerSec / single.opsPerSec;
-    std::cout << "# smoke: ps hot-hit @" << threads << " threads: single "
-              << formatDouble(mops(single), 3) << " Mops/s (contended "
-              << single.contended << "), sharded x" << shards << " "
-              << formatDouble(mops(sharded), 3) << " Mops/s (contended "
-              << sharded.contended << "), ratio "
-              << formatDouble(ratio, 3) << "\n";
-    if (ratio < 0.85) {
-      std::cout << "# FAIL: sharded path slower than the single lock\n";
-      return 1;
-    }
-    return 0;
-  }
-
   ctx.printHeader();
   const auto threadList =
       opts.getIntList("threads", {1, 2, 4, 8, 16, 32, 64, 128});
 
   Table tput("hot_hit_mops");
-  tput.setColumns(
-      {"threads", "ps_single", "ps_sharded", "ps_speedup", "ds_single"});
+  tput.setColumns({"threads", "ps", "ds"});
   Table cont("contended_acquisitions");
-  cont.setColumns({"threads", "ps_single", "ps_sharded", "ds_single"});
+  cont.setColumns({"threads", "ps", "ds"});
   for (std::int64_t t : threadList) {
     const int threads = static_cast<int>(t);
-    const RunResult ps1 = runPs(threads, 1, ops, pages, trials);
-    const RunResult psN = runPs(threads, shards, ops, pages, trials);
-    const RunResult ds1 = runDs(threads, ops, blobs, trials);
-    tput.addRow(std::to_string(threads),
-                {mops(ps1), mops(psN), psN.opsPerSec / ps1.opsPerSec,
-                 mops(ds1)});
+    const RunResult ps = runPs(threads, ops, pages, trials);
+    const RunResult ds = runDs(threads, ops, blobs, trials);
+    tput.addRow(std::to_string(threads), {mops(ps), mops(ds)});
     cont.addRow(std::to_string(threads),
-                {static_cast<double>(ps1.contended),
-                 static_cast<double>(psN.contended),
-                 static_cast<double>(ds1.contended)},
+                {static_cast<double>(ps.contended),
+                 static_cast<double>(ds.contended)},
                 /*precision=*/0);
   }
   ctx.emit(tput);
   ctx.emit(cont);
-  // The scaling gap is a function of real hardware parallelism: on a
-  // single-core host every thread count serializes and both configs
-  // converge, so the JSON records the host width next to the sweep.
+  // Contention is a function of real hardware parallelism: on a
+  // single-core host every thread count serializes, so the JSON records the
+  // host width next to the sweep.
   Table prov("provenance");
-  prov.setColumns({"host_threads", "ps_shards", "ops", "trials"});
+  prov.setColumns({"host_threads", "ops", "trials"});
   prov.addRow({std::to_string(std::thread::hardware_concurrency()),
-               std::to_string(shards), std::to_string(ops),
-               std::to_string(trials)});
+               std::to_string(ops), std::to_string(trials)});
   ctx.emit(prov);
   return 0;
 }

@@ -49,11 +49,8 @@ enum class Rank : std::uint16_t {
                         ///< Below kDataStore: engines demote under no DS
                         ///< lock, and restore releases the spill lock before
                         ///< re-inserting into the Data Store.
-  kPageSpaceShard = 48, ///< pagespace::PageSpaceManager shard locks (cache
-                        ///< maps). A thread holds at most ONE shard at a
-                        ///< time (the budget-rebalance slow path releases
-                        ///< its home shard before reclaiming from another).
-  kPageSpace = 50,      ///< pagespace::PageSpaceManager::mu_ (source registry)
+  kPageSpace = 50,      ///< pagespace::PageSpaceManager::mu_ (page cache,
+                        ///< in-flight reads, claims, source registry)
   kScanRegistry = 55,   ///< pagespace::ScanRegistry::mu_ (shared-scan table,
                         ///< DESIGN.md §14). A leaf in practice: publish/fail
                         ///< copy out under the lock and fire latches after

@@ -31,7 +31,7 @@ SpillTier::~SpillTier() {
   // remove every payload file we persisted, then the directory itself if
   // this tier created it and nothing else moved in.
   // Unlink outside the lock: fs::remove hits the disk, and mu_ is a
-  // shard-leaf rank that must never be held across blocking I/O (DESIGN.md
+  // leaf rank that must never be held across blocking I/O (DESIGN.md
   // §9; mqs-analyze blocking-under-lock).
   std::vector<std::string> deadFiles;
   if (!dir_.empty()) {
@@ -152,7 +152,7 @@ void SpillTier::writerLoop() {
       } else if (written) {
         // The entry vanished while we wrote; the file is orphaned. Unlink
         // after dropping mu_ — this loop runs on the demote/restore hot
-        // path and must not hold a shard-leaf lock across disk I/O.
+        // path and must not hold a leaf lock across disk I/O.
         orphaned = true;
       }
       if (--pendingWrites_ == 0) drained_.notifyAll();

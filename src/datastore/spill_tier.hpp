@@ -20,7 +20,7 @@
 //     and the directory (if created here) are removed on destruction.
 //
 // Concurrency: one mutex (rank kSpillTier = 44, between the Data Store
-// lock and the Page Space shards) guards metadata, the FIFO drop order,
+// lock and the Page Space lock) guards metadata, the FIFO drop order,
 // and the spatial index. Restore copies the entry out and releases the
 // lock before any Data Store re-insert, so the 44 → 40 inversion can
 // never occur.

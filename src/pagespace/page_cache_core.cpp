@@ -63,7 +63,6 @@ std::vector<storage::PageKey> PageCacheCore::insert(
 void PageCacheCore::pin(const storage::PageKey& key) {
   auto it = pages_.find(key);
   MQS_CHECK_MSG(it != pages_.end(), "pin of non-resident page");
-  if (it->second.pins == 0) pinned_ += it->second.bytes;
   ++it->second.pins;
 }
 
@@ -72,28 +71,6 @@ void PageCacheCore::unpin(const storage::PageKey& key) {
   MQS_CHECK_MSG(it != pages_.end(), "unpin of non-resident page");
   MQS_CHECK_MSG(it->second.pins > 0, "unbalanced unpin");
   --it->second.pins;
-  if (it->second.pins == 0) pinned_ -= it->second.bytes;
-}
-
-std::vector<storage::PageKey> PageCacheCore::evictUpTo(
-    std::uint64_t want, std::uint64_t* freedBytes) {
-  std::vector<storage::PageKey> evicted;
-  std::uint64_t freed = 0;
-  auto victim = lru_.end();
-  while (freed < want && victim != lru_.begin()) {
-    --victim;
-    auto vit = pages_.find(*victim);
-    MQS_DCHECK(vit != pages_.end());
-    if (vit->second.pins > 0) continue;
-    freed += vit->second.bytes;
-    resident_ -= vit->second.bytes;
-    evicted.push_back(*victim);
-    ++stats_.evictions;
-    victim = lru_.erase(victim);
-    pages_.erase(vit);
-  }
-  if (freedBytes != nullptr) *freedBytes = freed;
-  return evicted;
 }
 
 void PageCacheCore::erase(const storage::PageKey& key) {

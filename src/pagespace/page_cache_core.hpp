@@ -39,24 +39,8 @@ class PageCacheCore {
   /// Drop a page explicitly (must not be pinned). No-op if absent.
   void erase(const storage::PageKey& key);
 
-  /// Adjust the byte budget (sharded managers move budget between shard
-  /// cores on the rebalance slow path). Does not evict; the caller brings
-  /// residency back under the new budget via evictUpTo() if it shrank.
-  void setCapacity(std::uint64_t capacityBytes) { capacity_ = capacityBytes; }
-
-  /// Evict unpinned pages from the LRU tail until at least `want` bytes
-  /// have been freed or nothing evictable remains. Returns the evicted
-  /// keys (stats count them as evictions); freed bytes are the sum of the
-  /// victims' sizes.
-  std::vector<storage::PageKey> evictUpTo(std::uint64_t want,
-                                          std::uint64_t* freedBytes);
-
   [[nodiscard]] std::uint64_t capacityBytes() const { return capacity_; }
   [[nodiscard]] std::uint64_t residentBytes() const { return resident_; }
-  /// Bytes of currently pinned pages (never evictable). Maintained on the
-  /// 0 <-> 1 pin-count transitions; the sharded manager uses it to size
-  /// budget borrows under pin pressure.
-  [[nodiscard]] std::uint64_t pinnedBytes() const { return pinned_; }
   [[nodiscard]] std::size_t residentPages() const { return pages_.size(); }
 
   struct Stats {
@@ -76,7 +60,6 @@ class PageCacheCore {
 
   std::uint64_t capacity_;
   std::uint64_t resident_ = 0;
-  std::uint64_t pinned_ = 0;  ///< bytes of pages with pins > 0
   std::list<storage::PageKey> lru_;  ///< front = most recent
   std::unordered_map<storage::PageKey, Entry, storage::PageKeyHash> pages_;
   Stats stats_;

@@ -1,7 +1,5 @@
 #include "pagespace/page_space_manager.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <chrono>
 #include <thread>
 
@@ -12,11 +10,6 @@ namespace mqs::pagespace {
 namespace {
 thread_local std::uint64_t tlsDeviceBytes = 0;
 thread_local double tlsStallSeconds = 0.0;
-
-/// Attempts to grow a shard's slice before declaring a page uncacheable.
-/// Bounded because concurrent inserts can consume borrowed budget between
-/// the unlock and the relock.
-constexpr int kMaxBorrowAttempts = 4;
 
 /// Adds wall time spent in a blocking wait to the thread's stall counter.
 /// With a tracer active and a current query on this thread, the wait is
@@ -81,23 +74,11 @@ std::uint64_t PageSpaceManager::threadDeviceBytes() { return tlsDeviceBytes; }
 double PageSpaceManager::threadStallSeconds() { return tlsStallSeconds; }
 
 PageSpaceManager::PageSpaceManager(std::uint64_t capacityBytes, int ioThreads,
-                                   RetryPolicy retry, int shards)
-    : capacityBytes_(capacityBytes), retry_(retry) {
+                                   RetryPolicy retry)
+    : capacityBytes_(capacityBytes), retry_(retry), core_(capacityBytes) {
   MQS_CHECK(ioThreads >= 0);
   MQS_CHECK(retry_.maxAttempts >= 1);
   MQS_CHECK(retry_.backoffSec >= 0.0 && retry_.multiplier >= 1.0);
-  MQS_CHECK_MSG(shards >= 1 && shards <= kMaxShards,
-                "shard count out of range");
-  const auto n = std::bit_ceil(static_cast<std::size_t>(shards));
-  shardMask_ = n - 1;
-  // Equal slices; the remainder seeds the spare pool so every byte of the
-  // budget is accounted for (sum of slices + spare == capacity).
-  const std::uint64_t slice = capacityBytes / n;
-  spare_.store(capacityBytes - slice * n, std::memory_order_relaxed);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(slice));
-  }
   if (ioThreads > 0) {
     io_ = std::make_unique<ThreadPool>(static_cast<std::size_t>(ioThreads));
   }
@@ -117,21 +98,17 @@ void PageSpaceManager::attach(storage::DatasetId dataset,
   sources_[dataset] = source;
 }
 
-const storage::DataSource* PageSpaceManager::sourceFor(
+const storage::DataSource* PageSpaceManager::sourceForLocked(
     storage::DatasetId dataset) const {
-  // Callers hold a shard lock (rank kPageSpaceShard); the registry lock
-  // ranks above it, so this nested acquisition is in order.
-  MutexLock lock(mu_);
   auto it = sources_.find(dataset);
   MQS_CHECK_MSG(it != sources_.end(), "fetch from unattached dataset");
   return it->second;
 }
 
-std::uint64_t PageSpaceManager::consumeClaimLocked(Shard& s,
-                                                   const storage::PageKey& key,
+std::uint64_t PageSpaceManager::consumeClaimLocked(const storage::PageKey& key,
                                                    bool served) {
-  auto it = s.claims.find(key);
-  if (it == s.claims.end()) return 0;
+  auto it = claims_.find(key);
+  if (it == claims_.end()) return 0;
   Claim& c = it->second;
   const std::uint64_t credit = served ? c.creditBytes : 0;
   c.creditBytes = 0;
@@ -149,119 +126,43 @@ std::uint64_t PageSpaceManager::consumeClaimLocked(Shard& s,
     c.issued = false;
   }
   if (--c.count <= 0) {
-    if (c.pinned) s.core.unpin(key);
-    s.claims.erase(it);
+    if (c.pinned) core_.unpin(key);
+    claims_.erase(it);
   }
   return credit;
 }
 
-std::uint64_t PageSpaceManager::takeFromSpare(std::uint64_t want) {
-  std::uint64_t cur = spare_.load(std::memory_order_relaxed);
-  while (cur > 0) {
-    const std::uint64_t take = std::min(cur, want);
-    if (spare_.compare_exchange_weak(cur, cur - take,
-                                     std::memory_order_relaxed)) {
-      return take;
-    }
-  }
-  return 0;
-}
-
-std::uint64_t PageSpaceManager::borrowBudget(std::uint64_t want,
-                                             const Shard& home) {
-  std::uint64_t got = takeFromSpare(want);
-  for (const auto& sp : shards_) {
-    if (got >= want) break;
-    Shard& t = *sp;
-    if (&t == &home) continue;
-    MutexLock lock(t.mu);
-    const std::uint64_t cap = t.core.capacityBytes();
-    std::uint64_t take = std::min(cap - t.core.residentBytes(), want - got);
-    if (take < want - got) {
-      // Global pressure: idle headroom alone is not enough, so evict from
-      // this shard's unpinned LRU tail too — the sharded equivalent of the
-      // single cache evicting its global tail.
-      std::uint64_t freed = 0;
-      for (const auto& victim : t.core.evictUpTo(want - got - take, &freed)) {
-        t.resident.erase(victim);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        if (tracer_ != nullptr) tracer_->counter(trace::CounterKind::PsEvict);
-      }
-      take += freed;
-    }
-    t.core.setCapacity(cap - take);
-    got += take;
-  }
-  return got;
-}
-
-void PageSpaceManager::finishInsertLocked(Shard& s,
-                                          const storage::PageKey& key,
+void PageSpaceManager::finishInsertLocked(const storage::PageKey& key,
                                           const PagePtr& page, std::size_t n,
                                           bool viaPrefetch) {
-  for (const auto& victim : s.core.insert(key, n)) {
-    s.resident.erase(victim);
+  for (const auto& victim : core_.insert(key, n)) {
+    resident_.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     if (tracer_ != nullptr) tracer_->counter(trace::CounterKind::PsEvict);
   }
-  if (s.core.contains(key)) {
-    s.resident[key] = page;
+  if (core_.contains(key)) {
+    resident_[key] = page;
     // An outstanding claim pins the page so eviction pressure from other
     // queries cannot drop it before its claimant consumes it.
-    if (auto it = s.claims.find(key);
-        it != s.claims.end() && !it->second.pinned) {
-      s.core.pin(key);
+    if (auto it = claims_.find(key);
+        it != claims_.end() && !it->second.pinned) {
+      core_.pin(key);
       it->second.pinned = true;
     }
   }
   if (viaPrefetch) {
     // Charge the device bytes to whichever query consumes the page.
-    if (auto it = s.claims.find(key); it != s.claims.end()) {
+    if (auto it = claims_.find(key); it != claims_.end()) {
       it->second.creditBytes = n;
     }
   }
-  s.inflight.erase(key);
-}
-
-void PageSpaceManager::insertWithBudget(Shard& s, const storage::PageKey& key,
-                                        const PagePtr& page, std::size_t n,
-                                        bool viaPrefetch) {
-  for (int attempt = 0; attempt < kMaxBorrowAttempts; ++attempt) {
-    std::uint64_t deficit = 0;
-    {
-      MutexLock lock(s.mu);
-      // The page fits once every unpinned resident is evicted iff pinned
-      // bytes + n stay within the slice; insert() then cannot fail.
-      const std::uint64_t cap = s.core.capacityBytes();
-      const std::uint64_t floor = s.core.pinnedBytes();
-      if (floor + n <= cap) {
-        finishInsertLocked(s, key, page, n, viaPrefetch);
-        return;
-      }
-      deficit = floor + n - cap;
-    }
-    // Slice too small: rebalance without holding the home shard (the
-    // borrow locks other shards, and two kPageSpaceShard locks must never
-    // nest). Budget in transit is invisible to both slices until the
-    // setCapacity below lands.
-    const std::uint64_t got = borrowBudget(deficit, s);
-    if (got == 0) break;  // nothing reclaimable anywhere: cache what fits
-    MutexLock lock(s.mu);
-    s.core.setCapacity(s.core.capacityBytes() + got);
-  }
-  // Budget could not be grown enough (every other byte is pinned or in
-  // use, or borrowed bytes kept being consumed by concurrent inserts).
-  // Insert anyway — the core marks the page uncacheable — so the claim
-  // and in-flight bookkeeping still settles.
-  MutexLock lock(s.mu);
-  finishInsertLocked(s, key, page, n, viaPrefetch);
+  inflight_.erase(key);
 }
 
 void PageSpaceManager::performRead(const storage::PageKey& key,
                                    const storage::DataSource* source,
                                    std::promise<ReadResult>& promise,
                                    bool viaPrefetch) {
-  Shard& s = shardFor(key);
   PagePtr page;
   try {
     const std::size_t n = source->pageBytes(key.page);
@@ -284,12 +185,15 @@ void PageSpaceManager::performRead(const storage::PageKey& key,
     }
     page = std::move(buffer);
     bytesRead_.fetch_add(n, std::memory_order_relaxed);
-    insertWithBudget(s, key, page, n, viaPrefetch);
+    {
+      MutexLock lock(mu_);
+      finishInsertLocked(key, page, n, viaPrefetch);
+    }
   } catch (...) {
     readFailures_.fetch_add(1, std::memory_order_relaxed);
     {
-      MutexLock lock(s.mu);
-      s.inflight.erase(key);
+      MutexLock lock(mu_);
+      inflight_.erase(key);
     }
     // Flatten the failure to (kind, message): waiters rebuild their own
     // exception objects, so none is shared across threads.
@@ -318,38 +222,37 @@ void PageSpaceManager::performRead(const storage::PageKey& key,
 }
 
 PagePtr PageSpaceManager::fetch(const storage::PageKey& key) {
-  Shard& s = shardFor(key);
   std::shared_ptr<std::promise<ReadResult>> promise;
   std::shared_future<ReadResult> future;
   const storage::DataSource* source = nullptr;
   {
-    MutexLock lock(s.mu);
-    if (s.core.touch(key)) {
-      auto it = s.resident.find(key);
-      MQS_DCHECK(it != s.resident.end());
-      tlsDeviceBytes += consumeClaimLocked(s, key, /*served=*/true);
+    MutexLock lock(mu_);
+    if (core_.touch(key)) {
+      auto it = resident_.find(key);
+      MQS_DCHECK(it != resident_.end());
+      tlsDeviceBytes += consumeClaimLocked(key, /*served=*/true);
       hits_.fetch_add(1, std::memory_order_relaxed);
       if (tracer_ != nullptr) tracer_->counter(trace::CounterKind::PsHit);
       return it->second;
     }
     if (tracer_ != nullptr) tracer_->counter(trace::CounterKind::PsMiss);
-    auto inIt = s.inflight.find(key);
-    if (inIt != s.inflight.end()) {
+    auto inIt = inflight_.find(key);
+    if (inIt != inflight_.end()) {
       // Another thread (query or I/O pool) is already reading this page:
       // merge onto the one device read.
       merged_.fetch_add(1, std::memory_order_relaxed);
       future = inIt->second;
     } else {
       misses_.fetch_add(1, std::memory_order_relaxed);
-      source = sourceFor(key.dataset);
+      source = sourceForLocked(key.dataset);
       // A claim whose page is neither resident nor in flight is stale: the
       // prefetched copy was lost (uncacheable insert under pin pressure).
       // Settle one claim as wasted here, under the same lock, so claims
       // taken by prefetches racing with this read are left to their owners.
-      (void)consumeClaimLocked(s, key, /*served=*/false);
+      (void)consumeClaimLocked(key, /*served=*/false);
       promise = std::make_shared<std::promise<ReadResult>>();
       future = promise->get_future().share();
-      s.inflight.emplace(key, future);
+      inflight_.emplace(key, future);
     }
   }
 
@@ -377,15 +280,15 @@ PagePtr PageSpaceManager::fetch(const storage::PageKey& key) {
     // The merged read failed: settle the caller's claim as unserved so
     // the failure path consumes exactly one claim, like success does.
     {
-      MutexLock lock(s.mu);
-      (void)consumeClaimLocked(s, key, /*served=*/false);
+      MutexLock lock(mu_);
+      (void)consumeClaimLocked(key, /*served=*/false);
     }
     throwReadError(r);
   }
   std::uint64_t credit = 0;
   {
-    MutexLock lock(s.mu);
-    credit = consumeClaimLocked(s, key, /*served=*/true);
+    MutexLock lock(mu_);
+    credit = consumeClaimLocked(key, /*served=*/true);
   }
   tlsDeviceBytes += credit;
   return r.page;
@@ -393,28 +296,27 @@ PagePtr PageSpaceManager::fetch(const storage::PageKey& key) {
 
 void PageSpaceManager::prefetch(const storage::PageKey& key) {
   if (!io_) return;  // synchronous mode: readahead hints are ignored
-  Shard& s = shardFor(key);
   std::shared_ptr<std::promise<ReadResult>> promise;
   const storage::DataSource* source = nullptr;
   {
-    MutexLock lock(s.mu);
-    Claim& c = s.claims[key];
+    MutexLock lock(mu_);
+    Claim& c = claims_[key];
     ++c.count;
     // contains() instead of touch(): a hint must not distort hit/miss
     // stats, and the pin below protects the page regardless of LRU order.
-    if (s.core.contains(key)) {
+    if (core_.contains(key)) {
       if (!c.pinned) {
-        s.core.pin(key);
+        core_.pin(key);
         c.pinned = true;
       }
       return;
     }
-    if (s.inflight.contains(key)) {
+    if (inflight_.contains(key)) {
       return;  // coalesce: the claim is pinned when the read lands
     }
-    source = sourceFor(key.dataset);
+    source = sourceForLocked(key.dataset);
     promise = std::make_shared<std::promise<ReadResult>>();
-    s.inflight.emplace(key, promise->get_future().share());
+    inflight_.emplace(key, promise->get_future().share());
     prefetchIssued_.fetch_add(1, std::memory_order_relaxed);
     if (tracer_ != nullptr) {
       tracer_->counter(trace::CounterKind::PrefetchIssued);
@@ -427,8 +329,8 @@ void PageSpaceManager::prefetch(const storage::PageKey& key) {
   if (!queued) {
     // Pool is shutting down: fail the read so no waiter hangs.
     {
-      MutexLock lock(s.mu);
-      s.inflight.erase(key);
+      MutexLock lock(mu_);
+      inflight_.erase(key);
     }
     promise->set_value(ReadResult{.page = nullptr,
                                   .error = ReadResult::Error::Other,
@@ -438,10 +340,9 @@ void PageSpaceManager::prefetch(const storage::PageKey& key) {
 }
 
 void PageSpaceManager::releaseClaim(const storage::PageKey& key) {
-  Shard& s = shardFor(key);
-  MutexLock lock(s.mu);
-  auto it = s.claims.find(key);
-  if (it == s.claims.end()) return;
+  MutexLock lock(mu_);
+  auto it = claims_.find(key);
+  if (it == claims_.end()) return;
   Claim& c = it->second;
   if (--c.count <= 0) {
     if (c.issued) {
@@ -451,8 +352,8 @@ void PageSpaceManager::releaseClaim(const storage::PageKey& key) {
         tracer_->counter(trace::CounterKind::PrefetchWasted);
       }
     }
-    if (c.pinned) s.core.unpin(key);
-    s.claims.erase(it);
+    if (c.pinned) core_.unpin(key);
+    claims_.erase(it);
   }
 }
 
@@ -496,39 +397,18 @@ PageSpaceManager::Stats PageSpaceManager::stats() const {
 }
 
 std::uint64_t PageSpaceManager::residentBytes() const {
-  std::uint64_t total = 0;
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    total += sp->core.residentBytes();
-  }
-  return total;
-}
-
-std::uint64_t PageSpaceManager::budgetAccountedBytes() const {
-  std::uint64_t total = spare_.load(std::memory_order_relaxed);
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    total += sp->core.capacityBytes();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return core_.residentBytes();
 }
 
 std::size_t PageSpaceManager::inflightCount() const {
-  std::size_t total = 0;
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    total += sp->inflight.size();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return inflight_.size();
 }
 
 std::size_t PageSpaceManager::claimCount() const {
-  std::size_t total = 0;
-  for (const auto& sp : shards_) {
-    MutexLock lock(sp->mu);
-    total += sp->claims.size();
-  }
-  return total;
+  MutexLock lock(mu_);
+  return claims_.size();
 }
 
 }  // namespace mqs::pagespace

@@ -15,15 +15,9 @@
 // eviction pressure from concurrent queries cannot throw away pages whose
 // read was already paid for.
 //
-// Sharding (DESIGN.md §10): the cache state is split into N power-of-two
-// shards keyed by the page-id hash, each with its own lock (rank
-// kPageSpaceShard), so fetches of different pages by different query
-// threads do not serialize on one mutex. The byte budget is partitioned
-// into per-shard slices plus an atomic spare pool; a shard whose slice
-// cannot hold an incoming page borrows idle budget (and, under global
-// pressure, evicts from other shards' LRU tails) on a slow path that locks
-// at most one shard at a time. shards == 1 (the default) reproduces the
-// single-lock manager byte for byte.
+// One lock (rank kPageSpace, DESIGN.md §10) guards the replacement core,
+// the resident, in-flight and claim tables, and the source registry.
+// Device reads run outside it.
 #pragma once
 
 #include <atomic>
@@ -74,13 +68,10 @@ class PageSpaceManager {
   /// Default size of the asynchronous I/O pool. Matches the default
   /// executor readahead window so a full window can be in flight at once.
   static constexpr int kDefaultIoThreads = 4;
-  /// Upper bound on the shard count (rounded up to a power of two).
-  static constexpr int kMaxShards = 256;
 
-  /// `shards` is rounded up to the next power of two (1..kMaxShards).
   explicit PageSpaceManager(std::uint64_t capacityBytes,
                             int ioThreads = kDefaultIoThreads,
-                            RetryPolicy retry = {}, int shards = 1);
+                            RetryPolicy retry = {});
   ~PageSpaceManager();
 
   PageSpaceManager(const PageSpaceManager&) = delete;
@@ -108,7 +99,7 @@ class PageSpaceManager {
   /// Failure contract: a fetch that throws still consumes one outstanding
   /// prefetch claim on `key` (settled as unserved), exactly like a
   /// successful fetch — callers balance claims the same way on both paths.
-  PagePtr fetch(const storage::PageKey& key);
+  PagePtr fetch(const storage::PageKey& key) EXCLUDES(mu_);
 
   /// Asynchronous readahead hint: start reading `key` on the I/O pool and
   /// take out a claim on it. Never blocks. Resident and in-flight pages are
@@ -116,12 +107,12 @@ class PageSpaceManager {
   /// later fetch() of the key or a releaseClaim(); claimed pages are pinned
   /// against eviction until then. No-op when the manager was built with
   /// ioThreads == 0 (synchronous mode).
-  void prefetch(const storage::PageKey& key);
+  void prefetch(const storage::PageKey& key) EXCLUDES(mu_);
 
   /// Drop one outstanding prefetch claim without consuming the page. A
   /// claim released before any fetch used the page counts as wasted
   /// readahead. Safe to call for keys without a claim (no-op).
-  void releaseClaim(const storage::PageKey& key);
+  void releaseClaim(const storage::PageKey& key) EXCLUDES(mu_);
 
   /// Blocking batch fetch: issues all misses to the I/O pool so their
   /// device reads overlap, then waits for each page in order. On failure
@@ -154,19 +145,11 @@ class PageSpaceManager {
 
   /// The configured total budget (immutable; no lock).
   [[nodiscard]] std::uint64_t capacityBytes() const { return capacityBytes_; }
-  [[nodiscard]] std::uint64_t residentBytes() const;
-  /// Number of shards the cache state is split into (a power of two).
-  [[nodiscard]] int shardCount() const {
-    return static_cast<int>(shards_.size());
-  }
-  /// Sum of the per-shard budget slices plus the spare pool. Equals
-  /// capacityBytes() whenever no budget borrow is mid-flight — the
-  /// conservation invariant the shard tests assert at quiescence.
-  [[nodiscard]] std::uint64_t budgetAccountedBytes() const;
+  [[nodiscard]] std::uint64_t residentBytes() const EXCLUDES(mu_);
   /// Number of device reads currently in flight (tests / introspection).
-  [[nodiscard]] std::size_t inflightCount() const;
+  [[nodiscard]] std::size_t inflightCount() const EXCLUDES(mu_);
   /// Number of keys with outstanding prefetch claims.
-  [[nodiscard]] std::size_t claimCount() const;
+  [[nodiscard]] std::size_t claimCount() const EXCLUDES(mu_);
 
   /// Shared-scan registry for dynamic query folding (DESIGN.md §14): the
   /// page-level duplicate-request elimination above generalized to whole
@@ -198,83 +181,47 @@ class PageSpaceManager {
     std::uint64_t creditBytes = 0;
   };
 
-  /// One slice of the cache: replacement core plus the payload, in-flight,
-  /// and claim tables for the pages that hash here. Every field is guarded
-  /// by the shard's own lock; a thread holds at most one shard lock at a
-  /// time (equal ranks — the debug checker aborts on nesting).
-  struct Shard {
-    explicit Shard(std::uint64_t sliceBytes) : core(sliceBytes) {}
-
-    mutable Mutex mu{lockorder::Rank::kPageSpaceShard,
-                     "PageSpaceManager::Shard::mu"};
-    PageCacheCore core GUARDED_BY(mu);
-    std::unordered_map<storage::PageKey, PagePtr, storage::PageKeyHash>
-        resident GUARDED_BY(mu);
-    std::unordered_map<storage::PageKey, std::shared_future<ReadResult>,
-                       storage::PageKeyHash>
-        inflight GUARDED_BY(mu);
-    std::unordered_map<storage::PageKey, Claim, storage::PageKeyHash> claims
-        GUARDED_BY(mu);
-  };
-
-  [[nodiscard]] Shard& shardFor(const storage::PageKey& key) const {
-    return *shards_[storage::PageKeyHash{}(key) & shardMask_];
-  }
-
-  const storage::DataSource* sourceFor(storage::DatasetId dataset) const
-      EXCLUDES(mu_);
+  const storage::DataSource* sourceForLocked(storage::DatasetId dataset) const
+      REQUIRES(mu_);
   /// Device read + cache insert + promise delivery. Runs on the caller
   /// thread (demand miss) or an I/O pool thread (prefetch). Exceptions are
   /// delivered through the promise; the in-flight entry never leaks.
   void performRead(const storage::PageKey& key,
                    const storage::DataSource* source,
-                   std::promise<ReadResult>& promise, bool viaPrefetch);
+                   std::promise<ReadResult>& promise, bool viaPrefetch)
+      EXCLUDES(mu_);
   /// Consume one claim after a fetch of `key`. Returns the device bytes to
   /// credit the calling thread. `served` = the page (or its in-flight
   /// read) was still available; false means the prefetched copy was lost
   /// and had to be re-read.
-  std::uint64_t consumeClaimLocked(Shard& s, const storage::PageKey& key,
-                                   bool served) REQUIRES(s.mu);
-  /// Insert a freshly read page into its shard, growing the shard's budget
-  /// slice first if the page cannot fit (see borrowBudget). Always settles
-  /// the claim/in-flight bookkeeping, even when the page stays uncached.
-  void insertWithBudget(Shard& s, const storage::PageKey& key,
-                        const PagePtr& page, std::size_t n, bool viaPrefetch);
-  /// Cache insert + claim pin + credit + in-flight erase, all under the
-  /// shard lock (the commit point of a successful read).
-  void finishInsertLocked(Shard& s, const storage::PageKey& key,
-                          const PagePtr& page, std::size_t n, bool viaPrefetch)
-      REQUIRES(s.mu);
-  /// Budget-rebalance slow path: collect up to `want` bytes of budget from
-  /// the spare pool, idle headroom on other shards, and — under global
-  /// pressure — other shards' unpinned LRU tails. Locks one shard at a
-  /// time; `home` must not be locked by the caller. The returned bytes are
-  /// owed to `home`'s slice (the caller adds them via setCapacity).
-  std::uint64_t borrowBudget(std::uint64_t want, const Shard& home);
-  std::uint64_t takeFromSpare(std::uint64_t want);
+  std::uint64_t consumeClaimLocked(const storage::PageKey& key, bool served)
+      REQUIRES(mu_);
+  /// Cache insert + claim pin + credit + in-flight erase (the commit point
+  /// of a successful read). A page that cannot fit because everything
+  /// resident is pinned stays uncached; the bookkeeping settles either way.
+  void finishInsertLocked(const storage::PageKey& key, const PagePtr& page,
+                          std::size_t n, bool viaPrefetch) REQUIRES(mu_);
 
   /// Set once before any worker thread exists (QueryServer's constructor
   /// installs it before spawning workers); the pointee synchronizes itself.
   trace::Tracer* tracer_ = nullptr;
 
-  const std::uint64_t capacityBytes_;  ///< total budget across all shards
+  const std::uint64_t capacityBytes_;  ///< immutable after construction
   RetryPolicy retry_;                  ///< immutable after construction
 
   mutable Mutex mu_{lockorder::Rank::kPageSpace, "PageSpaceManager::mu_"};
   std::unordered_map<storage::DatasetId, const storage::DataSource*> sources_
       GUARDED_BY(mu_);
+  PageCacheCore core_ GUARDED_BY(mu_);
+  std::unordered_map<storage::PageKey, PagePtr, storage::PageKeyHash>
+      resident_ GUARDED_BY(mu_);
+  std::unordered_map<storage::PageKey, std::shared_future<ReadResult>,
+                     storage::PageKeyHash>
+      inflight_ GUARDED_BY(mu_);
+  std::unordered_map<storage::PageKey, Claim, storage::PageKeyHash> claims_
+      GUARDED_BY(mu_);
 
-  /// Immutable after construction (the vector; shard contents are guarded
-  /// by their own locks).
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::size_t shardMask_ = 0;  ///< immutable after construction
-  /// Budget bytes not currently assigned to any shard's slice. Invariant:
-  /// sum(shard slice capacities) + spare_ == capacityBytes_ except inside
-  /// a borrow (bytes in transit between a donor slice and the borrower).
-  std::atomic<std::uint64_t> spare_{0};
-
-  // Hot counters: relaxed atomics so stats() and concurrent fetches on
-  // other shards never serialize on a stats lock.
+  // Hot counters: relaxed atomics so stats() never takes the cache lock.
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> merged_{0};
@@ -286,11 +233,11 @@ class PageSpaceManager {
   std::atomic<std::uint64_t> readRetries_{0};
   std::atomic<std::uint64_t> readFailures_{0};
 
-  /// Scan-level folding state (own lock; independent of the shards).
+  /// Scan-level folding state (own lock; independent of the page cache).
   ScanRegistry scanRegistry_;
 
   /// Declared last: destroyed first, joining the I/O workers while the
-  /// shards above are still alive for their final bookkeeping.
+  /// cache state above is still alive for their final bookkeeping.
   std::unique_ptr<ThreadPool> io_;
 };
 

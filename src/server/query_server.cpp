@@ -9,17 +9,6 @@
 
 namespace mqs::server {
 
-namespace {
-/// Combined contention counts for the Page Space, which spans two lock
-/// ranks (its source registry plus its cache shards).
-lockstats::Counts pageSpaceCounts() {
-  const auto ca = lockstats::countsFor(lockorder::Rank::kPageSpace);
-  const auto cb = lockstats::countsFor(lockorder::Rank::kPageSpaceShard);
-  return lockstats::Counts{ca.contended + cb.contended,
-                           ca.waitNanos + cb.waitNanos};
-}
-}  // namespace
-
 QueryServer::QueryServer(const query::QuerySemantics* semantics,
                          const query::QueryExecutor* executor,
                          ServerConfig cfg)
@@ -31,8 +20,7 @@ QueryServer::QueryServer(const query::QuerySemantics* semantics,
           datastore::parseEvictionPolicy(cfg_.dsEviction)),
       ps_(cfg_.psBytes, cfg_.psIoThreads,
           pagespace::RetryPolicy{cfg_.ioRetryAttempts,
-                                 cfg_.ioRetryBackoffSec},
-          cfg_.psShards),
+                                 cfg_.ioRetryBackoffSec}),
       planner_(semantics,
                query::PlannerConfig{
                    .dataStoreEnabled = cfg_.dataStoreEnabled,
@@ -63,7 +51,7 @@ QueryServer::QueryServer(const query::QuerySemantics* semantics,
     ps_.setTracer(tracer_);
     lockWaitBaseSched_ = lockstats::countsFor(lockorder::Rank::kScheduler);
     lockWaitBaseDs_ = lockstats::countsFor(lockorder::Rank::kDataStore);
-    lockWaitBasePs_ = pageSpaceCounts();
+    lockWaitBasePs_ = lockstats::countsFor(lockorder::Rank::kPageSpace);
   }
   // Cost-aware eviction and the spill tier's restore-vs-recompute gate both
   // need every blob stamped with its traced recompute cost. With a trace
@@ -281,21 +269,27 @@ void QueryServer::shutdown() {
   workAvailable_.notifyAll();
   workers_.clear();  // jthread joins
   if (tracer_ != nullptr) {
-    // Per-subsystem lock-contention exposure for this run: value = blocked
-    // acquisitions since construction (workers are joined, so the deltas
-    // are final).
-    const auto emit = [this](trace::CounterKind kind,
+    // Per-subsystem lock-contention exposure for this run: blocked
+    // acquisitions and the microseconds spent blocked in them since
+    // construction (workers are joined, so the deltas are final).
+    const auto emit = [this](trace::CounterKind count, trace::CounterKind us,
                              const lockstats::Counts& base,
-                             const lockstats::Counts& now) {
+                             lockorder::Rank rank) {
+      const lockstats::Counts now = lockstats::countsFor(rank);
       if (now.contended > base.contended) {
-        tracer_->counter(kind, now.contended - base.contended);
+        tracer_->counter(count, now.contended - base.contended);
+      }
+      if (const auto waitUs = (now.waitNanos - base.waitNanos) / 1000;
+          waitUs > 0) {
+        tracer_->counter(us, waitUs);
       }
     };
-    emit(trace::CounterKind::LockWaitSched, lockWaitBaseSched_,
-         lockstats::countsFor(lockorder::Rank::kScheduler));
-    emit(trace::CounterKind::LockWaitDs, lockWaitBaseDs_,
-         lockstats::countsFor(lockorder::Rank::kDataStore));
-    emit(trace::CounterKind::LockWaitPs, lockWaitBasePs_, pageSpaceCounts());
+    emit(trace::CounterKind::LockWaitSched, trace::CounterKind::LockWaitSchedUs,
+         lockWaitBaseSched_, lockorder::Rank::kScheduler);
+    emit(trace::CounterKind::LockWaitDs, trace::CounterKind::LockWaitDsUs,
+         lockWaitBaseDs_, lockorder::Rank::kDataStore);
+    emit(trace::CounterKind::LockWaitPs, trace::CounterKind::LockWaitPsUs,
+         lockWaitBasePs_, lockorder::Rank::kPageSpace);
   }
 }
 

@@ -94,6 +94,9 @@ std::string_view toString(CounterKind kind) {
     case CounterKind::LockWaitSched: return "lock_wait_sched";
     case CounterKind::LockWaitDs: return "lock_wait_ds";
     case CounterKind::LockWaitPs: return "lock_wait_ps";
+    case CounterKind::LockWaitSchedUs: return "lock_wait_sched_us";
+    case CounterKind::LockWaitDsUs: return "lock_wait_ds_us";
+    case CounterKind::LockWaitPsUs: return "lock_wait_ps_us";
     case CounterKind::AdmissionAdmitted: return "admitted";
     case CounterKind::AdmissionRejected: return "rejected";
     case CounterKind::AdmissionShed: return "shed";

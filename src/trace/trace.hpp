@@ -67,11 +67,16 @@ enum class CounterKind : std::uint8_t {
   PrefetchIssued,
   PrefetchWasted,
   // Lock-contention exposure per subsystem (common/lock_stats.hpp): the
-  // server emits these at shutdown with value = blocked acquisitions, so
-  // traces show where query threads waited on shared state.
+  // server emits these at shutdown, LOCK_WAIT_* with value = blocked
+  // acquisitions and LOCK_WAIT_*_US with value = microseconds spent
+  // blocked in them, so traces show where query threads waited on shared
+  // state and for how long.
   LockWaitSched,
   LockWaitDs,
   LockWaitPs,
+  LockWaitSchedUs,
+  LockWaitDsUs,
+  LockWaitPsUs,
   // Overload behavior (DESIGN.md §11): admission-control and load-shedding
   // events emitted by the query server. ADMITTED/REJECTED/SHED partition
   // the offered load; QUOTA_HIT counts per-client fairness rejections

@@ -174,10 +174,16 @@ TEST_F(PrefetchPipelineTest, EvictionNeverDropsClaimedPage) {
 
   // These fetches would each evict the previous resident page, but the
   // claim pins page 0 so it must survive all of them.
-  (void)ps.fetch(PageKey{0, 1});
-  (void)ps.fetch(PageKey{0, 2});
-  (void)ps.fetch(PageKey{0, 3});
+  for (storage::PageId p = 1; p <= 3; ++p) {
+    const PagePtr page = ps.fetch(PageKey{0, p});
+    ASSERT_NE(page, nullptr);
+    EXPECT_EQ(page->size(), layout_.chunkBytes(p));
+  }
   EXPECT_EQ(counting.reads(), 4);
+  // Pages 1-3 were served but never cached: the pinned claim fills the
+  // budget, so each insert found nothing evictable and left the page out.
+  EXPECT_EQ(ps.residentBytes(), layout_.chunkBytes(0));
+  EXPECT_EQ(ps.stats().evictions, 0u);
 
   // Page 0 is still resident: consuming the claim costs no device read.
   (void)ps.fetch(PageKey{0, 0});

@@ -13,10 +13,14 @@
 #include <string>
 #include <vector>
 
+#include "common/lock_stats.hpp"
 #include "driver/workload.hpp"
+#include "index/chunk_layout.hpp"
 #include "metrics/metrics.hpp"
+#include "server/query_server.hpp"
 #include "sim/sim_server.hpp"
 #include "sim/simulator.hpp"
+#include "storage/synthetic_source.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 #include "vm/vm_executor.hpp"
@@ -405,6 +409,44 @@ TEST(ChromeTraceExport, CounterTracksAreCumulative) {
     lastTotal[name] = total;
   }
   EXPECT_FALSE(lastTotal.empty());
+}
+
+TEST(ChromeTraceExport, ServerExportsPageSpaceLockWaitCountAndMicros) {
+  vm::VMSemantics sem;
+  const auto dataset = sem.addDataset(index::ChunkLayout(256, 256, 64));
+  const storage::SyntheticSlideSource slide(sem.layout(dataset), /*seed=*/5);
+  const vm::VMExecutor exec(&sem);
+  server::ServerConfig cfg;
+  cfg.threads = 1;
+  cfg.traceSink = std::make_shared<trace::Tracer>();
+  server::QueryServer server(&sem, &exec, cfg);
+  server.attach(dataset, &slide);
+  // No query runs, so these two acquisitions, blocked 3.0005 ms and
+  // 4.0005 ms, are the run's only Page Space lock waits.
+  lockstats::recordContended(lockorder::Rank::kPageSpace, 3'000'500);
+  lockstats::recordContended(lockorder::Rank::kPageSpace, 4'000'500);
+  server.shutdown();
+
+  const auto events = cfg.traceSink->drain();
+  std::map<std::string, std::uint64_t> sums;
+  for (const auto& e : events) {
+    if (e.type == trace::EventType::Counter) {
+      sums[std::string(trace::toString(e.counterKind()))] += e.value;
+    }
+  }
+  EXPECT_EQ(sums["lock_wait_ps"], 2u);
+  EXPECT_EQ(sums["lock_wait_ps_us"], 7001u);
+
+  const auto parsed = JsonParser::parse(chromeTraceString(events));
+  ASSERT_TRUE(parsed.has_value());
+  std::map<std::string, double> exported;
+  for (const JsonValue& e : parsed->find("traceEvents")->items) {
+    if (e.find("ph")->str == "C") {
+      exported[e.find("name")->str] = e.find("args")->find("total")->number;
+    }
+  }
+  EXPECT_EQ(exported["lock_wait_ps"], 2.0);
+  EXPECT_EQ(exported["lock_wait_ps_us"], 7001.0);
 }
 
 TEST(CsvExport, RoundTripsAdversarialPredicates) {

@@ -21,7 +21,7 @@
 //                     -Werror=thread-safety entirely.
 //   3. blocking       Calls from a configurable blocking set (file I/O,
 //                     sleeps, future/queue waits, CondVar::wait on a
-//                     *different* mutex) made while a shard-leaf rank
+//                     *different* mutex) made while a leaf rank
 //                     (>= --blocking-min-rank, default 44) is held.
 //
 // Frontend: a built-in C++ lexer with zero dependencies feeds the token
